@@ -32,11 +32,7 @@ from math import log, sqrt
 import numpy as np
 
 from hbgowers import arith, averages, gowers, hb_model
-
-
-def bounded_random(rng, shape):
-    z = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
-    return z / np.sqrt(2.0)
+from hbgowers.averages import bounded_random
 
 
 def structured_functions(N: int) -> list[np.ndarray]:

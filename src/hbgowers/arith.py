@@ -17,15 +17,15 @@ multiplicativity in q for coprime moduli.
 Provides:
     build_sieve / save_sieve / load_sieve  -- dense mu/phi/Lambda/spf tables
     ramanujan_sum / ramanujan_sum_direct / ramanujan_table
-    factorize / divisors / rad / tau / omega / vp / mobius_int / totient_int
-    real_character  -- Jacobi symbol for odd squarefree modulus
+    factorize / divisors / rad / mobius_int / totient_int / is_squarefree
+    real_character / character_table  -- Jacobi symbol for odd squarefree modulus
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from pathlib import Path
 
 import numpy as np
@@ -199,34 +199,7 @@ def divisors(n: int) -> list[int]:
 
 def rad(n: int) -> int:
     """Squarefree kernel prod_{p | n} p; rad(1) = 1."""
-    out = 1
-    for p, _ in factorize(n).factors:
-        out *= p
-    return out
-
-
-def tau(n: int) -> int:
-    """Number of divisors."""
-    out = 1
-    for _, e in factorize(n).factors:
-        out *= e + 1
-    return out
-
-
-def omega(n: int) -> int:
-    """Number of distinct prime factors."""
-    return len(factorize(n).factors)
-
-
-def vp(n: int, p: int) -> int:
-    """p-adic valuation of n >= 1 at a prime p."""
-    if p < 2:
-        raise ValueError(f"vp needs a prime p >= 2, got {p}")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
+    return prod(p for p, _ in factorize(n).factors)
 
 
 def mobius_int(n: int) -> int:

@@ -14,7 +14,8 @@ Orbits are finite sequences (f_n)_{n <= N} from three shipped systems:
 The modulated average E_{n<=N} w(n) e(n theta) f_n is scanned over the grid
 theta_j = j / (K N) by one zero-padded FFT; the grid sup sits within
 Lip / (2KN) of the true sup, Lip = (2 pi / N) sum_n n |w(n) f_n|, an O(1/K)
-error reported with each result.
+error reported with each result.  The u3mod inequality takes its inner sup
+from the same grid kernel, one row per x.
 
 Inequalities (lhs and rhs both computed with exact interval normalizers):
 
@@ -50,7 +51,6 @@ class SystemDescriptor:
 
     kind: str  # "rotation" | "doubling" | "signs"
     params: dict = field(default_factory=dict)
-    observable: str = "e"  # point-to-complex map tag; "identity" for signs
 
     def label(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
@@ -78,8 +78,13 @@ def doubling(x: str | float = "sqrt2") -> SystemDescriptor:
 
 
 def random_signs(seed: int) -> SystemDescriptor:
-    return SystemDescriptor(kind="signs", params={"seed": int(seed)},
-                            observable="identity")
+    return SystemDescriptor(kind="signs", params={"seed": int(seed)})
+
+
+def bounded_random(rng: np.random.Generator, shape) -> np.ndarray:
+    """Complex values (u + i v) / sqrt(2), u and v uniform on [-1, 1]; modulus <= 1."""
+    z = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+    return z / np.sqrt(2.0)
 
 
 def splitmix64(seed: int, count: int) -> np.ndarray:
@@ -164,6 +169,17 @@ def ww_average(w: Weight, f: OrbitSequence, theta: float, N: int) -> complex:
     return complex(np.mean(w.values[:N] * f.values[:N] * np.exp(2j * np.pi * theta * n)))
 
 
+def _grid_modulus(rows: np.ndarray, L: int) -> np.ndarray:
+    """|S_j| for S_j = sum_{n=1}^{N} row_n e(n j / L), j in [L), row by row.
+
+    One zero-padded inverse FFT of length L per row; entry n of the padded
+    row carries e(n theta) after the transform.
+    """
+    padded = np.zeros((rows.shape[0], L), dtype=complex)
+    padded[:, 1 : rows.shape[1] + 1] = rows
+    return np.abs(np.fft.ifft(padded, axis=1) * L)
+
+
 def ww_sup_grid(w: Weight, f: OrbitSequence, N: int, oversample: int = 8) -> WWResult:
     """Max over theta_j = j/(KN) of |E_{n<=N} w(n) e(n theta_j) f_n|.
 
@@ -176,10 +192,7 @@ def ww_sup_grid(w: Weight, f: OrbitSequence, N: int, oversample: int = 8) -> WWR
         raise ValueError(f"need weight and orbit of length >= N={N}")
     x = w.values[:N] * f.values[:N]
     L = oversample * N
-    padded = np.zeros(L, dtype=complex)
-    padded[1 : N + 1] = x  # entry n carries e(n theta) after the transform
-    spectrum = np.fft.ifft(padded) * L  # S_j = sum_n x_n e(+2 pi i n j / L)
-    mods = np.abs(spectrum) / N
+    mods = _grid_modulus(x[None, :], L)[0] / N
     j_star = int(np.argmax(mods))
     n = np.arange(1, N + 1, dtype=np.float64)
     lip = 2.0 * np.pi * float(np.sum(n * np.abs(x))) / N
@@ -278,9 +291,7 @@ def ineq_u3_modulated(f: np.ndarray, w: np.ndarray, N: int,
     for lo in range(1, 2 * N + 1, 256):
         xs = np.arange(lo, min(lo + 256, 2 * N + 1))
         rows = _shift_matrix(f, N, xs) * w[None, :N]
-        padded = np.zeros((rows.shape[0], L), dtype=complex)
-        padded[:, 1 : N + 1] = rows
-        sup = np.max(np.abs(np.fft.ifft(padded, axis=1) * L), axis=1) / N
+        sup = np.max(_grid_modulus(rows, L), axis=1) / N
         acc += float(np.sum(sup**4))
     lhs = acc / (2 * N)
     return IneqResult("u3mod", N, lhs, _norm_pow(w[:N], N, 3, 4))
@@ -328,19 +339,3 @@ def ineq_double_recurrence(f: np.ndarray, g: np.ndarray, w: np.ndarray,
     lhs = float(np.sum(np.abs(acc[1:] / N) ** 2) / (2 * N))
     return IneqResult("double", N, lhs, _norm_pow(w[:N], N, 3, 2))
 
-
-def sparse_scales(epsilon: float, n_max: int, n_min: int = 1) -> list[int]:
-    """Fluctuation grid ceil((1 + epsilon^{1/3})^k), deduplicated, within range."""
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    base = 1.0 + epsilon ** (1.0 / 3.0)
-    out: list[int] = []
-    val = 1.0
-    while True:
-        n = int(np.ceil(val))
-        if n > n_max:
-            break
-        if n >= n_min and (not out or n > out[-1]):
-            out.append(n)
-        val *= base
-    return out

@@ -34,7 +34,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from math import log2
+from math import log2, prod
 from pathlib import Path
 
 import numpy as np
@@ -93,8 +93,6 @@ class SweepConfig:
 
     ns: list[int] = field(default_factory=list)
     qs: list[int] = field(default_factory=list)
-    systems: list[str] = field(default_factory=list)
-    seeds: list[int] = field(default_factory=list)
     oversample: int | None = None
     threads: int | None = None
     cache_dir: str | None = None
@@ -111,10 +109,6 @@ class SweepConfig:
             cfg.ns = [int(x) for x in sec["ns"].split(",") if x.strip()]
         if "qs" in sec:
             cfg.qs = [int(x) for x in sec["qs"].split(",") if x.strip()]
-        if "systems" in sec:
-            cfg.systems = [x.strip() for x in sec["systems"].split(";") if x.strip()]
-        if "seeds" in sec:
-            cfg.seeds = [int(x) for x in sec["seeds"].split(",") if x.strip()]
         for key in ("oversample", "threads"):
             if key in sec:
                 setattr(cfg, key, int(sec[key]))
@@ -200,6 +194,11 @@ def _sieve_for(N: int, cache_dir: str | None) -> arith.SieveTables:
     return tables
 
 
+def _twist_params(spec: str) -> hb_model.TwistParams:
+    kv = _parse_kv(spec[6:])
+    return hb_model.TwistParams(q0=int(kv["q"]), sigma=float(kv["sigma"]))
+
+
 def parse_weight(spec: str, N: int, T: int | None, cache_dir: str | None) -> hb_model.Weight:
     try:
         if spec == "vonmangoldt":
@@ -211,10 +210,8 @@ def parse_weight(spec: str, N: int, T: int | None, cache_dir: str | None) -> hb_
             kv = _parse_kv(spec[6:])
             return hb_model.lambda_leq(int(kv["T"]), N)
         if spec.startswith("twist:"):
-            kv = _parse_kv(spec[6:])
-            params = hb_model.TwistParams(q0=int(kv["q"]), sigma=float(kv["sigma"]))
             T_eff = T if T is not None else hb_model.q_schedule(N)
-            return hb_model.twist(hb_model.lambda_leq(T_eff, N), params)
+            return hb_model.twist(hb_model.lambda_leq(T_eff, N), _twist_params(spec))
     except (KeyError, ValueError) as exc:
         raise Precondition(f"bad weight spec {spec!r}: {exc}") from exc
     raise Precondition(f"unknown weight spec {spec!r}")
@@ -274,18 +271,14 @@ def cmd_unorm(args, cfg: SweepConfig) -> dict:
 
 def cmd_ap(args, cfg: SweepConfig) -> dict:
     w = parse_weight(args.weight, args.N, args.T, args.cache_dir)
-    twisted = args.weight.startswith("twist:")
+    params = _twist_params(args.weight) if args.weight.startswith("twist:") else None
     rows = []
     worst = 0.0
     for a in range(1, args.q + 1):
         s = hb_model.ap_sum(w, a, args.q, args.N)
-        if twisted:
-            kv = _parse_kv(args.weight[6:])
-            params = hb_model.TwistParams(q0=int(kv["q"]), sigma=float(kv["sigma"]))
-            main = hb_model.ap_main_term(a, args.q, args.N) - hb_model.ap_twisted_main_term(
-                a, args.q, args.N, params)
-        else:
-            main = hb_model.ap_main_term(a, args.q, args.N)
+        main = hb_model.ap_main_term(a, args.q, args.N)
+        if params is not None:
+            main -= hb_model.ap_twisted_main_term(a, args.q, args.N, params)
         err = s - main
         rel = abs(err) / main if main else abs(err)
         if main:
@@ -332,11 +325,9 @@ def cmd_expect(args, cfg: SweepConfig) -> dict:
         raise Precondition("expect needs --qs and/or --samples")
     rows = []
     for qs in tuples:
-        R = 1
-        for q in qs:
-            R *= q
         e = cube.ramanujan_cube_expectation(qs)
-        rows.append((*qs, R, int(cube.rad4_divides(qs)), e, cube.expectation_bound(qs)))
+        rows.append((*qs, prod(qs), int(cube.rad4_divides(qs)), e,
+                     cube.expectation_bound(qs)))
     out = Path(args.out_dir) / f"expect_{len(tuples)}.csv"
     write_csv(out, [f"q{i}" for i in range(1, 9)] + ["R", "rad4_divides", "expectation", "bound"],
               rows)
@@ -345,20 +336,15 @@ def cmd_expect(args, cfg: SweepConfig) -> dict:
     return {"csv": str(out), "tuples": len(tuples), "zero": n_zero}
 
 
-def _random_bounded(rng, N: int) -> np.ndarray:
-    re, im = rng.uniform(-1, 1, N), rng.uniform(-1, 1, N)
-    return (re + 1j * im) / np.sqrt(2.0)
-
-
 def cmd_ineq(args, cfg: SweepConfig) -> dict:
     w = parse_weight(args.weight, args.N, args.T, args.cache_dir)
     rng = np.random.default_rng(args.seed)
     names = list(INEQ_CONSTANTS) if args.name == "all" else [args.name]
     rows, violations = [], 0
     for trial in range(args.trials):
-        f = _random_bounded(rng, args.N)
-        g = _random_bounded(rng, args.N)
-        gx = _random_bounded(rng, 2 * args.N * args.N).reshape(2 * args.N, args.N)
+        f = averages.bounded_random(rng, args.N)
+        g = averages.bounded_random(rng, args.N)
+        gx = averages.bounded_random(rng, (2 * args.N, args.N))
         for name in names:
             if name == "u2":
                 res = averages.ineq_u2(f, w.values, args.N)
@@ -490,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--N", type=int, default=1024)
-        sp.add_argument("--Q", type=int, default=None)
         sp.add_argument("--T", type=int, default=None)
         sp.add_argument("--weight", default="hbsum:T=4")
         sp.add_argument("--oversample", type=int, default=8)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd, lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -78,10 +78,9 @@ class VertexConfig:
 
 @dataclass
 class CubeTuple:
-    """Moduli q_w (squarefree) and numerators a_w, vertex-indexed."""
+    """Squarefree moduli q_w, vertex-indexed."""
 
     qs: tuple[int, ...]
-    numerators: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if len(self.qs) != 8:
@@ -89,40 +88,10 @@ class CubeTuple:
         for q in self.qs:
             if q < 1 or not is_squarefree(q):
                 raise ValueError(f"moduli must be squarefree >= 1, got {q}")
-        if self.numerators is not None:
-            if len(self.numerators) != 8:
-                raise ValueError("need one numerator per cube vertex")
-            for a, q in zip(self.numerators, self.qs):
-                if not (1 <= a <= q and gcd(a, q) == 1) and q > 1:
-                    raise ValueError(f"numerator {a} invalid for modulus {q}")
 
 
 def vertex(w1: int, w2: int, w3: int) -> int:
     return w1 | (w2 << 1) | (w3 << 2)
-
-
-def linear_forms(t: CubeTuple) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(L_0, L_1, L_2, L_3) as exact fractions."""
-    if t.numerators is None:
-        raise ValueError("linear_forms needs numerators")
-    terms = [Fraction(int(_SIGN[v]) * t.numerators[v], t.qs[v]) for v in range(8)]
-    L0 = sum(terms, Fraction(0))
-    Ls = [sum((terms[v] for v in range(8) if (v >> (i - 1)) & 1), Fraction(0))
-          for i in (1, 2, 3)]
-    return (L0, Ls[0], Ls[1], Ls[2])
-
-
-def face_sums(t: CubeTuple) -> dict[tuple[int, int], Fraction]:
-    """All six signed face sums keyed by (axis, side)."""
-    if t.numerators is None:
-        raise ValueError("face_sums needs numerators")
-    terms = [Fraction(int(_SIGN[v]) * t.numerators[v], t.qs[v]) for v in range(8)]
-    return {(i, j): sum((terms[v] for v in range(8) if (1 << v) & m), Fraction(0))
-            for i, j, m in FACES}
-
-
-def forms_integral(t: CubeTuple) -> bool:
-    return all(f.denominator == 1 for f in linear_forms(t))
 
 
 def admissible(marked: int) -> bool:
@@ -268,11 +237,8 @@ def ramanujan_cube_expectation(qs: tuple[int, ...]) -> int:
     counts, hence a nonnegative integer.
     """
     t = CubeTuple(qs=tuple(qs))
-    R = 1
-    for q in t.qs:
-        R *= q
     out = 1
-    for p, _ in factorize(rad(R)).factors:
+    for p, _ in factorize(rad(prod(t.qs))).factors:
         out *= count_numerators_exact(marked_set(t.qs, p), p)
         if out == 0:
             return 0
@@ -294,36 +260,29 @@ def ramanujan_cube_expectation_monolithic(qs: tuple[int, ...]) -> Fraction:
     total = 0
     for j2 in range(P):
         for j3 in range(P):
-            prod = np.ones((P, P), dtype=np.int64)  # axes (m, j1)
+            cell = np.ones((P, P), dtype=np.int64)  # axes (m, j1)
             for v in range(8):
                 w1, w2, w3 = v & 1, (v >> 1) & 1, (v >> 2) & 1
                 idx = (m[:, None] + w1 * m[None, :] + w2 * j2 + w3 * j3) % P
-                prod *= tables[v][idx]
-            total += int(prod.sum())
+                cell *= tables[v][idx]
+            total += int(cell.sum())
     return Fraction(total, P**4)
 
 
 def expectation_bound(qs: tuple[int, ...]) -> int:
     """Upper bound for the expectation: 0 unless Rad(R)^4 | R, else
     prod_{p | R} (p-1)^{v_p(R) - 3}."""
-    R = 1
-    for q in qs:
-        R *= q
+    R = prod(qs)
     if R == 1:
         return 1
     fac = factorize(R).factors
     if any(e < 4 for _, e in fac):
         return 0
-    out = 1
-    for p, e in fac:
-        out *= (p - 1) ** (e - 3)
-    return out
+    return prod((p - 1) ** (e - 3) for p, e in fac)
 
 
 def rad4_divides(qs: tuple[int, ...]) -> bool:
-    R = 1
-    for q in qs:
-        R *= q
+    R = prod(qs)
     return R % rad(R) ** 4 == 0
 
 
@@ -380,13 +339,9 @@ def u3_diagonal_decomposition(Q: int, M: int) -> DiagonalDecomposition:
     diag_tuples = 0
     nondiag_tuples = 0
     for qs in product(qs_pool, repeat=8):
-        coeff = Fraction(1)
-        for q in qs:
-            coeff *= Fraction(mobius_int(q), totient_int(q))
+        coeff = prod(Fraction(mobius_int(q), totient_int(q)) for q in qs)
         delta = ramanujan_cube_expectation(qs)
-        full = 1
-        for q in qs:
-            full *= totient_int(q)
+        full = prod(totient_int(q) for q in qs)
         diag_weighted += coeff * delta
         diag_tuples += delta
         nondiag_tuples += full - delta

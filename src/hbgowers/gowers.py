@@ -11,12 +11,17 @@ a nonnegative real.  The interval-normalized norm divides by the same raw
 functional on the indicator 1_{[N]} before taking the 2^s-th root, so that
 ||1_{[N]}||_{U^s[N]} == 1 holds exactly (same code path, same floats).
 
-Fast paths:
-    * U^2 raw = sum_h |A_f(h)|^2 with A_f the autocorrelation; evaluated as
-      (1/n) sum_j |fhat_j|^4 on a zero-padded length-n FFT (exact Parseval
-      identity once n >= 2L - 1).
-    * U^3 raw = sum_{h} U^2raw(Delta_h f), batched FFTs over h, one FFT
-      length for every h so padding never changes the value.
+Fast paths share one kernel, :func:`_pow4_rows`, the fourth moment
+(1/n) sum_j |FFT_n(row)_j|^4 of each row (rfft with the interior bins
+counted twice when the rows are real):
+    * U^2 raw = sum_h |A_f(h)|^2 with A_f the autocorrelation; the kernel on
+      the one row f, zero-padded to length n (exact Parseval identity once
+      n >= 2L - 1).
+    * U^3 raw = sum_{h} U^2raw(Delta_h f), the kernel on batches of rows
+      Delta_h f, one FFT length for every h so padding never changes the
+      value.
+    * the cyclic U^2 and U^3 norms, the kernel at n = P on f and on the
+      cyclic Delta_h f.
 
 The brute-force evaluator walks the h-tuples of the definition literally and
 is the oracle the fast paths are tested against.
@@ -31,6 +36,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -126,16 +132,20 @@ def gowers_raw_bruteforce(f: Series, s: int) -> float:
     return float(total)
 
 
-def _abs_pow4_spectrum(values: np.ndarray, n: int) -> float:
-    """(1/n) * sum_j |FFT_n(values)_j|^4 using rfft when the input is real."""
-    if np.iscomplexobj(values):
-        spec = np.abs(np.fft.fft(values, n))
-        return float(np.sum(spec**4) / n)
-    spec = np.abs(np.fft.rfft(values, n))
+def _pow4_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """(1/n) * sum_j |FFT_n(row)_j|^4 for each row of a 2-D array.
+
+    Real rows go through rfft, which halves the spectrum; its interior bins
+    stand for two bins of the full sum.
+    """
+    if np.iscomplexobj(rows):
+        spec = np.abs(np.fft.fft(rows, n, axis=1))
+        return np.sum(spec**4, axis=1) / n
+    spec = np.abs(np.fft.rfft(rows, n, axis=1))
     pw = spec**4
-    # rfft halves the spectrum; interior bins appear twice in the full sum
-    interior = pw[1 : -1 if n % 2 == 0 else None]
-    return float((pw[0] + (pw[-1] if n % 2 == 0 else 0.0) + 2.0 * interior.sum()) / n)
+    if n % 2 == 0:
+        return (pw[:, 0] + pw[:, -1] + 2.0 * pw[:, 1:-1].sum(axis=1)) / n
+    return (pw[:, 0] + 2.0 * pw[:, 1:].sum(axis=1)) / n
 
 
 def _fft_length(L: int) -> int:
@@ -147,7 +157,7 @@ def gowers_u2_fast(f: Series) -> float:
     L = f.length
     if L == 0:
         return 0.0
-    return _abs_pow4_spectrum(f.values, _fft_length(L))
+    return float(_pow4_rows(f.values[None, :], _fft_length(L))[0])
 
 
 def _u3_row_batch(values: np.ndarray, hs: np.ndarray, n: int) -> np.ndarray:
@@ -156,14 +166,7 @@ def _u3_row_batch(values: np.ndarray, hs: np.ndarray, n: int) -> np.ndarray:
     rows = np.zeros((hs.shape[0], L), dtype=values.dtype)
     for i, h in enumerate(hs):
         rows[i, : L - h] = values[: L - h] * np.conj(values[h:])
-    if np.iscomplexobj(rows):
-        spec = np.abs(np.fft.fft(rows, n, axis=1))
-        return np.sum(spec**4, axis=1) / n
-    spec = np.abs(np.fft.rfft(rows, n, axis=1))
-    pw = spec**4
-    if n % 2 == 0:
-        return (pw[:, 0] + pw[:, -1] + 2.0 * pw[:, 1:-1].sum(axis=1)) / n
-    return (pw[:, 0] + 2.0 * pw[:, 1:].sum(axis=1)) / n
+    return _pow4_rows(rows, n)
 
 
 def gowers_u3_fast(f: Series, workers: int = 1) -> float:
@@ -234,7 +237,8 @@ def gowers_cyclic(values: np.ndarray, s: int) -> float:
     Delta_h f over h in Z_P (O(P^2 log P), guarded at P = 4096).
     """
     _check_s(s)
-    v = np.asarray(values, dtype=complex)
+    v = np.asarray(values)
+    v = v.astype(complex if np.iscomplexobj(v) else np.float64)
     P = v.shape[0]
     if P < 1:
         raise ValueError("need at least one period value")
@@ -242,18 +246,16 @@ def gowers_cyclic(values: np.ndarray, s: int) -> float:
         raise ValueError(f"cyclic norm guarded at P <= {_CYCLIC_P_MAX}, got {P}")
     if s == 1:
         return float(abs(v.mean()))
+    # sum_j |fhat(j)|^4 with the expectation-normalized DFT is pow4 / P^3
     if s == 2:
-        spec = np.abs(np.fft.fft(v)) / P
-        return float(np.sum(spec**4) ** 0.25)
+        return float((_pow4_rows(v[None, :], P)[0] / P**3) ** 0.25)
     acc = 0.0
     block = max(1, (1 << 21) // P)
     for lo in range(0, P, block):
         hs = np.arange(lo, min(lo + block, P))
         idx = (np.arange(P)[None, :] + hs[:, None]) % P
-        rows = v[None, :] * np.conj(v[idx])
-        spec = np.abs(np.fft.fft(rows, axis=1)) / P
-        acc += float(np.sum(spec**4))
-    return float((acc / P) ** (1.0 / 8.0))
+        acc += float(np.sum(_pow4_rows(v[None, :] * np.conj(v[idx]), P)))
+    return float((acc / P**4) ** (1.0 / 8.0))
 
 
 def gowers_cyclic_bruteforce(values: np.ndarray, s: int) -> float:
@@ -264,8 +266,7 @@ def gowers_cyclic_bruteforce(values: np.ndarray, s: int) -> float:
     if P > _CYCLIC_BRUTE_P_MAX:
         raise ValueError(f"cyclic brute force guarded at P <= {_CYCLIC_BRUTE_P_MAX}, got {P}")
     total = 0.0 + 0.0j
-    shifts = range(P)
-    for tup in _tuples(shifts, s):
+    for tup in product(range(P), repeat=s):
         prod = np.ones(P, dtype=complex)
         for mask in range(1 << s):
             shift = sum(tup[i] for i in range(s) if mask >> i & 1)
@@ -275,14 +276,6 @@ def gowers_cyclic_bruteforce(values: np.ndarray, s: int) -> float:
             prod = prod * term
         total += prod.sum()
     return float(max(total.real, 0.0) / P ** (s + 1)) ** (1.0 / (1 << s))
-
-
-def _tuples(rng, s):
-    if s == 1:
-        return ((h,) for h in rng)
-    if s == 2:
-        return ((h1, h2) for h1 in rng for h2 in rng)
-    return ((h1, h2, h3) for h1 in rng for h2 in rng for h3 in rng)
 
 
 def quadratic_phase(f: Series, alpha: float, beta: float, gamma: float = 0.0) -> Series:
@@ -312,7 +305,7 @@ def gcs_inner(family: list[Series], s: int) -> complex:
     hi = max(f.offset + f.length for f in family)
     span = hi - lo
     total = 0.0 + 0.0j
-    for tup in _tuples(range(-span, span + 1), s):
+    for tup in product(range(-span, span + 1), repeat=s):
         # x must satisfy x + w.tup inside supp f_w for every vertex w
         x_lo, x_hi = lo - 2 * span, hi + 2 * span
         for w in range(1 << s):

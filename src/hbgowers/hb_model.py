@@ -26,11 +26,9 @@ Supporting exact identity: sum_{t | q} mu(t)^2 / phi(t) = q / phi(q).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, log
-from pathlib import Path
 
 import numpy as np
 
@@ -54,7 +52,6 @@ class Weight:
     label: str
     values: np.ndarray
     start: int = 1
-    meta: dict = field(default_factory=dict)
 
     @property
     def length(self) -> int:
@@ -73,16 +70,6 @@ class TwistParams:
             raise ValueError(f"twist modulus must be odd squarefree, got {self.q0}")
         if not 0.0 < self.sigma <= 1.0:
             raise ValueError(f"sigma must lie in (0, 1], got {self.sigma}")
-
-
-@dataclass
-class HBModel:
-    """Dyadic block structure up to T: block tops, periods, type-I coefficients."""
-
-    T: int
-    blocks: list[int]
-    periods: dict[int, int]
-    type1: dict[int, float]
 
 
 def _check_dyadic(Q: int, name: str = "Q") -> None:
@@ -124,31 +111,21 @@ def lambda_Q(Q: int, N: int) -> Weight:
             continue
         table = ramanujan_table(q).astype(np.float64)
         out += (mu / totient_int(q)) * table[n % q]
-    return Weight(label=f"hb:Q={Q}", values=out, meta={"Q": Q, "period": hb_period(Q)})
+    return Weight(label=f"hb:Q={Q}", values=out)
 
 
-def lambda_leq(T: int, N: int, workers: int = 1) -> Weight:
+def lambda_leq(T: int, N: int) -> Weight:
     """Running total Lambda_{<=T} on n = 1 .. N; T a power of two.
 
-    Blocks are built independently (optionally in parallel) and summed in
-    fixed dyadic order, so the output is bitwise identical for any
-    ``workers``.
+    Blocks are summed in fixed dyadic order.
     """
     _check_dyadic(T, "T")
     if T > _Q_MAX:
         raise ValueError(f"T={T} refused (T <= {_Q_MAX})")
-    blocks = dyadic_blocks(T)
-    if workers <= 1 or len(blocks) == 1:
-        parts = [lambda_Q(Q, N).values for Q in blocks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda Q: lambda_Q(Q, N).values, blocks))
     out = np.zeros(N, dtype=np.float64)
-    for part in parts:
-        out += part
-    return Weight(label=f"hbsum:T={T}", values=out, meta={"T": T})
+    for Q in dyadic_blocks(T):
+        out += lambda_Q(Q, N).values
+    return Weight(label=f"hbsum:T={T}", values=out)
 
 
 def lambda_leq_direct(T: int, N: int) -> np.ndarray:
@@ -169,16 +146,6 @@ def dyadic_blocks(T: int) -> list[int]:
     """Block tops [1, 2, 4, ..., T] for T a power of two."""
     _check_dyadic(T, "T")
     return [1 << j for j in range(T.bit_length())]
-
-
-def build_model(T: int) -> HBModel:
-    blocks = dyadic_blocks(T)
-    return HBModel(
-        T=T,
-        blocks=blocks,
-        periods={Q: hb_period(Q) for Q in blocks},
-        type1={d: float(a) for d, a in type1_coefficients_exact(T).items()},
-    )
 
 
 def type1_coefficients_exact(Q: int) -> dict[int, Fraction]:
@@ -215,25 +182,14 @@ def twist(w: Weight, params: TwistParams) -> Weight:
     n = w.start + np.arange(w.length, dtype=np.float64)
     chi = character_table(params.q0, w.start + w.length)[w.start :].astype(np.float64)
     factor = 1.0 - n ** (params.sigma - 1.0) * chi
-    meta = dict(w.meta, twist_q0=params.q0, twist_sigma=params.sigma)
     return Weight(label=f"{w.label}|twist:q={params.q0},sigma={params.sigma}",
-                  values=w.values * factor, start=w.start, meta=meta)
-
-
-def twisted_part(w: Weight, params: TwistParams) -> Weight:
-    """The subtracted piece w(n) n^{sigma-1} chi_{q0}(n), kept for direct sums."""
-    n = w.start + np.arange(w.length, dtype=np.float64)
-    chi = character_table(params.q0, w.start + w.length)[w.start :].astype(np.float64)
-    meta = dict(w.meta, twist_q0=params.q0, twist_sigma=params.sigma, part="twisted")
-    return Weight(label=f"{w.label}|twistpart:q={params.q0},sigma={params.sigma}",
-                  values=w.values * n ** (params.sigma - 1.0) * chi, start=w.start, meta=meta)
+                  values=w.values * factor, start=w.start)
 
 
 def vonmangoldt_weight(tables: SieveTables, N: int) -> Weight:
     if N > tables.limit:
         raise ValueError(f"sieve limit {tables.limit} < N={N}")
-    return Weight(label="vonmangoldt", values=tables.vonmangoldt[1 : N + 1].copy(),
-                  meta={"N": N})
+    return Weight(label="vonmangoldt", values=tables.vonmangoldt[1 : N + 1].copy())
 
 
 def ap_sum(w: Weight, a: int, q: int, n_prime: int) -> float:
@@ -294,16 +250,3 @@ def moment(w: Weight, k: float) -> float:
     """E_{n} |w(n)|^k over the weight's support."""
     return float(np.mean(np.abs(w.values) ** k))
 
-
-def export_weight(w: Weight, path: str | Path) -> None:
-    """Write ``n,value`` CSV plus a JSON metadata sidecar (same stem)."""
-    path = Path(path)
-    n = w.start + np.arange(w.length)
-    with open(path, "w") as fh:
-        fh.write("n,value\n")
-        for i in range(w.length):
-            fh.write(f"{n[i]},{float(w.values[i])!r}\n")
-    sidecar = path.with_suffix(".json")
-    sidecar.write_text(json.dumps(
-        {"label": w.label, "start": w.start, "length": w.length, "meta": w.meta},
-        indent=2, sort_keys=True) + "\n")

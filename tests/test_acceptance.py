@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from hbgowers import arith, averages, cube, gowers, hb_model
+from hbgowers.averages import bounded_random
 from hbgowers.calibration import CYCLIC_INTERVAL_TOL, INEQ_CONSTANTS
 
 PRIMES_LE_59 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
@@ -36,11 +37,6 @@ PRIMES_LE_59 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 @pytest.fixture(scope="module")
 def big_sieve():
     return arith.build_sieve(1_000_000)
-
-
-def bounded_random(rng, shape):
-    z = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
-    return z / np.sqrt(2.0)
 
 
 # 1 ------------------------------------------------------------------------

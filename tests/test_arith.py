@@ -90,8 +90,6 @@ def test_factorize_and_friends():
     assert sorted(arith.divisors(12)) == [1, 2, 3, 4, 6, 12]
     assert arith.divisors(1) == [1]
     assert arith.rad(360) == 30 and arith.rad(1) == 1
-    assert arith.tau(12) == 6 and arith.omega(12) == 2
-    assert arith.vp(360, 2) == 3 and arith.vp(360, 7) == 0
     assert arith.is_squarefree(30) and not arith.is_squarefree(12)
     assert arith.mobius_int(30) == -1 and arith.totient_int(10) == 4
 

@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 from hbgowers import arith, averages, gowers, hb_model
+from hbgowers.averages import bounded_random
 from hbgowers.calibration import INEQ_CONSTANTS, WW_SIGNS_BAND
-
-
-def bounded_random(rng, shape):
-    z = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
-    return z / np.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +337,3 @@ def test_signs_band_regression():
         f = averages.orbit(averages.random_signs(seed), N)
         res = averages.ww_sup_grid(ones, f, N, oversample=8)
         assert res.sup_modulus <= WW_SIGNS_BAND * scale, seed
-
-
-def test_sparse_scales():
-    scales = averages.sparse_scales(0.5, 10_000)
-    assert scales[0] >= 1 and scales[-1] <= 10_000
-    assert all(a < b for a, b in zip(scales, scales[1:]))
-    ratio = (1 + 0.5 ** (1.0 / 3.0))
-    assert len(scales) <= int(np.log(10_000) / np.log(ratio)) + 2

@@ -47,7 +47,10 @@ def test_exit_two_bad_weight(tmp_path, capsys):
 
 def test_exit_two_bad_system(tmp_path, capsys):
     assert run(tmp_path, "ww", "--system", "bernoulli:p=0.5", "--N", "64") == 2
-    assert "bad system spec" in capsys.readouterr().err or True
+    assert "unknown system spec 'bernoulli:p=0.5'" in capsys.readouterr().err
+    # a known kind with a missing parameter is malformed, not unknown
+    assert run(tmp_path, "ww", "--system", "rotation:x=0.1", "--N", "64") == 2
+    assert "bad system spec 'rotation:x=0.1'" in capsys.readouterr().err
 
 
 def test_exit_three_decay_budget(tmp_path, capsys):
@@ -249,18 +252,21 @@ def test_config_file_missing(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-def test_module_entry_point(tmp_path):
+@pytest.mark.parametrize("module", ["hbgowers", "hbgowers.cli"])
+def test_module_entry_point(tmp_path, module):
     # the function behind [project.scripts] hbg, run in a fresh interpreter
     # as an installed script would run it
     src = str(Path(hbgowers.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
-        [sys.executable, "-m", "hbgowers.cli", "cube", "--mask", "255",
+        [sys.executable, "-m", module, "cube", "--mask", "255",
          "--out-dir", str(tmp_path)],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "cube masks=1" in proc.stdout
+    if module == "hbgowers":
+        assert "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.skipif(shutil.which("hbg") is None,

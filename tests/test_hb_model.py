@@ -88,12 +88,6 @@ def test_lambda_leq_mean_near_one():
     assert abs(w.values.mean() - 1.0) < 0.05
 
 
-def test_lambda_leq_parallel_determinism():
-    a = hb_model.lambda_leq(16, 5000, workers=1).values
-    b = hb_model.lambda_leq(16, 5000, workers=4).values
-    assert np.array_equal(a, b)
-
-
 def test_dyadic_blocks():
     assert hb_model.dyadic_blocks(1) == [1]
     assert hb_model.dyadic_blocks(8) == [1, 2, 4, 8]
@@ -233,19 +227,6 @@ def test_vonmangoldt_weight_psi():
     w = hb_model.vonmangoldt_weight(tables, 1000)
     # Chebyshev psi(1000) close to 1000 within a few percent
     assert abs(w.values.sum() - 1000) / 1000 < 0.05
-
-
-def test_export_weight(tmp_path):
-    w = hb_model.lambda_Q(4, 10)
-    out = tmp_path / "w.csv"
-    hb_model.export_weight(w, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "n,value"
-    assert len(lines) == 11
-    n, val = lines[3].split(",")
-    assert int(n) == 3 and float(val) == w.values[2]
-    sidecar = out.with_suffix(".json")
-    assert sidecar.exists()
 
 
 @settings(max_examples=50, deadline=None)
