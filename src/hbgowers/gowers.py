@@ -18,10 +18,12 @@ counted twice when the rows are real):
       the one row f, zero-padded to length n (exact Parseval identity once
       n >= 2L - 1).
     * U^3 raw = sum_{h} U^2raw(Delta_h f), the kernel on batches of rows
-      Delta_h f, one FFT length for every h so padding never changes the
-      value.
+      Delta_h f.  Row h has L - h nonzero entries, so the shifts are bucketed
+      by n = _fft_length(L - h): each bucket's n still satisfies
+      n >= 2(L - h) - 1, so Parseval stays exact and only rounding depends
+      on the bucket.  The rows of a batch come from one strided multiply.
     * the cyclic U^2 and U^3 norms, the kernel at n = P on f and on the
-      cyclic Delta_h f.
+      cyclic Delta_h f (the rows are windows of the doubled period).
 
 The brute-force evaluator walks the h-tuples of the definition literally and
 is the oracle the fast paths are tested against.
@@ -39,6 +41,7 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 _BRUTE_LEN_MAX = {1: 8192, 2: 2048, 3: 128}
 _CYCLIC_P_MAX = 4096
@@ -135,17 +138,23 @@ def gowers_raw_bruteforce(f: Series, s: int) -> float:
 def _pow4_rows(rows: np.ndarray, n: int) -> np.ndarray:
     """(1/n) * sum_j |FFT_n(row)_j|^4 for each row of a 2-D array.
 
-    Real rows go through rfft, which halves the spectrum; its interior bins
-    stand for two bins of the full sum.
+    |X|^4 is formed as (re^2 + im^2)^2 in the spectrum's own buffer, so no
+    array beyond the spectrum is allocated.  Real rows go through rfft,
+    which halves the spectrum; its interior bins stand for two bins of the
+    full sum.
     """
-    if np.iscomplexobj(rows):
-        spec = np.abs(np.fft.fft(rows, n, axis=1))
-        return np.sum(spec**4, axis=1) / n
-    spec = np.abs(np.fft.rfft(rows, n, axis=1))
-    pw = spec**4
+    real = not np.iscomplexobj(rows)
+    spec = np.fft.rfft(rows, n, axis=1) if real else np.fft.fft(rows, n, axis=1)
+    re, im = spec.real, spec.imag
+    np.square(re, out=re)
+    np.square(im, out=im)
+    re += im
+    np.square(re, out=re)
+    if not real:
+        return re.sum(axis=1) / n
     if n % 2 == 0:
-        return (pw[:, 0] + pw[:, -1] + 2.0 * pw[:, 1:-1].sum(axis=1)) / n
-    return (pw[:, 0] + 2.0 * pw[:, 1:].sum(axis=1)) / n
+        return (re[:, 0] + re[:, -1] + 2.0 * re[:, 1:-1].sum(axis=1)) / n
+    return (re[:, 0] + 2.0 * re[:, 1:].sum(axis=1)) / n
 
 
 def _fft_length(L: int) -> int:
@@ -160,13 +169,40 @@ def gowers_u2_fast(f: Series) -> float:
     return float(_pow4_rows(f.values[None, :], _fft_length(L))[0])
 
 
-def _u3_row_batch(values: np.ndarray, hs: np.ndarray, n: int) -> np.ndarray:
-    """Per-h raw U^2 of Delta_h(values) for a batch of nonnegative shifts."""
-    L = values.shape[0]
-    rows = np.zeros((hs.shape[0], L), dtype=values.dtype)
-    for i, h in enumerate(hs):
-        rows[i, : L - h] = values[: L - h] * np.conj(values[h:])
-    return _pow4_rows(rows, n)
+def _u3_row_batch(values: np.ndarray, conj_padded: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Per-h raw U^2 of Delta_h(values) for the shifts lo <= h < hi.
+
+    ``conj_padded`` is conj(values) followed by L zeros, so its length-W
+    window at h, W = L - lo, is conj(values[h:]) padded out to W.  Every row
+    is then Delta_h f on W points, in one strided multiply, and every h in
+    the batch shares the FFT length _fft_length(W).
+    """
+    W = values.shape[0] - lo
+    rows = values[None, :W] * sliding_window_view(conj_padded, W)[lo:hi]
+    return _pow4_rows(rows, _fft_length(W))
+
+
+def _u3_chunks(L: int) -> list[tuple[int, int]]:
+    """Shift ranges [lo, hi) of the U^3 batches, a function of L alone.
+
+    Shifts are bucketed by n = _fft_length(L - h): the bucket starting at lo
+    ends where L - h drops to n / 4, and is cut into batches of
+    (1 << 22) // n rows.
+    """
+    chunks = []
+    lo = 0
+    while lo < L:
+        n = _fft_length(L - lo)
+        end = L - n // 4
+        batch = max(1, (1 << 22) // n)
+        chunks.extend((a, min(a + batch, end)) for a in range(lo, end, batch))
+        lo = end
+    return chunks
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def gowers_u3_fast(f: Series, workers: int = 1) -> float:
@@ -175,23 +211,25 @@ def gowers_u3_fast(f: Series, workers: int = 1) -> float:
     Work is split over nonnegative shifts only (U^2raw(Delta_{-h} f) equals
     U^2raw(Delta_h f): Delta_{-h} f is a conjugated translate of Delta_h f).
     Per-h values land in a preallocated array and are reduced in fixed order,
-    so the result is bitwise identical for any ``workers``.
+    and the batches depend on L alone, so the result is bitwise identical for
+    any ``workers``.
     """
+    _check_workers(workers)
     L = f.length
     if L == 0:
         return 0.0
     values = f.values
     if not np.iscomplexobj(values):
         values = values.astype(np.float64)
-    n = _fft_length(L)
+    conj_padded = np.concatenate([np.conj(values), np.zeros(L, dtype=values.dtype)])
     per_h = np.zeros(L, dtype=np.float64)
-    batch = max(1, (1 << 22) // n)
-    chunks = [np.arange(lo, min(lo + batch, L)) for lo in range(0, L, batch)]
+    chunks = _u3_chunks(L)
 
-    def run(chunk: np.ndarray) -> None:
-        per_h[chunk] = _u3_row_batch(values, chunk, n)
+    def run(chunk: tuple[int, int]) -> None:
+        lo, hi = chunk
+        per_h[lo:hi] = _u3_row_batch(values, conj_padded, lo, hi)
 
-    if workers <= 1 or len(chunks) == 1:
+    if workers == 1 or len(chunks) == 1:
         for chunk in chunks:
             run(chunk)
     else:
@@ -218,6 +256,7 @@ def interval_normalizer(N: int, s: int) -> float:
 def gowers_normalized(f: Series, N: int, s: int, workers: int = 1) -> GowersResult:
     """Interval-normalized ||f||_{U^s[N]} for f supported in a length-N window."""
     _check_s(s)
+    _check_workers(workers)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if f.length > N:
@@ -249,12 +288,12 @@ def gowers_cyclic(values: np.ndarray, s: int) -> float:
     # sum_j |fhat(j)|^4 with the expectation-normalized DFT is pow4 / P^3
     if s == 2:
         return float((_pow4_rows(v[None, :], P)[0] / P**3) ** 0.25)
+    # row h is v * conj(v shifted cyclically by h): windows of the doubled period
+    windows = sliding_window_view(np.conj(np.concatenate([v, v])), P)[:P]
     acc = 0.0
     block = max(1, (1 << 21) // P)
     for lo in range(0, P, block):
-        hs = np.arange(lo, min(lo + block, P))
-        idx = (np.arange(P)[None, :] + hs[:, None]) % P
-        acc += float(np.sum(_pow4_rows(v[None, :] * np.conj(v[idx]), P)))
+        acc += float(np.sum(_pow4_rows(v[None, :] * windows[lo : lo + block], P)))
     return float((acc / P**4) ** (1.0 / 8.0))
 
 

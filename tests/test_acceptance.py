@@ -268,6 +268,10 @@ def test_block_weight_u3_decay():
         P = hb_model.hb_period(Q)
         cyclic[Q] = gowers.gowers_cyclic(hb_model.lambda_Q(Q, P).values, 3)
 
+    # the lru-cached normalizer behind those norms is exact at this length
+    assert gowers.interval_normalizer(M, 3) == pytest.approx(
+        float(cube.interval_box_count(M, 3)), rel=1e-12)
+
     D = {Q: _diagonal_density([q for q in hb_model.block_range(Q)
                                if arith.mobius_int(q) != 0])
          for Q in (2, 4, 8, 16)}

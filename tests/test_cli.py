@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hbgowers
-from hbgowers import arith, cli, cube
+from hbgowers import arith, cli, cube, gowers
 
 
 def run(tmp_path, *argv):
@@ -51,6 +51,20 @@ def test_exit_two_bad_system(tmp_path, capsys):
     # a known kind with a missing parameter is malformed, not unknown
     assert run(tmp_path, "ww", "--system", "rotation:x=0.1", "--N", "64") == 2
     assert "bad system spec 'rotation:x=0.1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_exit_two_bad_threads(tmp_path, capsys, monkeypatch, threads):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(gowers, "ThreadPoolExecutor", no_pool)
+    assert run(tmp_path, "unorm", "--threads", threads) == 2
+    assert "precondition: workers must be >= 1" in capsys.readouterr().err
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(f"[sweep]\nthreads = {threads}\n")
+    assert run(tmp_path, "unorm", "--s", "3", "--config", str(ini)) == 2
+    assert "precondition: workers must be >= 1" in capsys.readouterr().err
 
 
 def test_exit_three_decay_budget(tmp_path, capsys):

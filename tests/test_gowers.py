@@ -58,7 +58,8 @@ def test_fast_vs_brute_u2():
 
 def test_fast_vs_brute_u3():
     rng = np.random.default_rng(3)
-    for L in (1, 2, 3, 7, 16, 33):
+    # the extra lengths sit on both sides of the FFT-length bucket edges
+    for L in (1, 2, 3, 7, 16, 33, 4, 5, 8, 9, 17, 31, 32, 64, 65):
         for real in (False, True):
             f = random_series(rng, L, real)
             b = gowers.gowers_raw_bruteforce(f, 3)
@@ -72,6 +73,21 @@ def test_u3_worker_determinism():
     r2 = gowers.gowers_u3_fast(f, workers=2)
     r4 = gowers.gowers_u3_fast(f, workers=4)
     assert r1 == r2 == r4  # bitwise
+    # at L = 3000 the first FFT-length bucket is cut into two batches;
+    # at L = 700 every bucket is a single batch
+    f = random_series(rng, 3000)
+    r1 = gowers.gowers_u3_fast(f, workers=1)
+    assert gowers.gowers_u3_fast(f, workers=2) == r1
+    assert gowers.gowers_u3_fast(f, workers=3) == r1
+
+
+def test_workers_must_be_positive():
+    f = Series(np.ones(8))
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            gowers.gowers_u3_fast(f, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            gowers.gowers_normalized(f, 8, 2, workers=workers)
 
 
 def test_offset_does_not_change_raw():
