@@ -33,9 +33,11 @@ sweep in scripts/calibrate_ineq.py and frozen in calibration.py.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hbgowers.gowers import Series, gowers_normalized
 from hbgowers.hb_model import Weight, hb_period, lambda_Q
@@ -169,15 +171,18 @@ def ww_average(w: Weight, f: OrbitSequence, theta: float, N: int) -> complex:
     return complex(np.mean(w.values[:N] * f.values[:N] * np.exp(2j * np.pi * theta * n)))
 
 
-def _grid_modulus(rows: np.ndarray, L: int) -> np.ndarray:
-    """|S_j| for S_j = sum_{n=1}^{N} row_n e(n j / L), j in [L), row by row.
+def _grid_modulus(pad: np.ndarray, spec: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """|S_j| for S_j = sum_{n=1}^{N} pad_n e(n j / L), j in [L), row by row.
 
-    One zero-padded inverse FFT of length L per row; entry n of the padded
-    row carries e(n theta) after the transform.
+    ``pad`` holds each row zero-padded to length L, entry n carrying
+    e(n theta) after one inverse FFT of length L.  The spectrum goes to the
+    complex buffer ``spec`` (which may be ``pad`` itself) and the modulus to
+    the float buffer ``mod``, both the shape of ``pad``, so a caller can
+    reuse all three; returns ``mod``.
     """
-    padded = np.zeros((rows.shape[0], L), dtype=complex)
-    padded[:, 1 : rows.shape[1] + 1] = rows
-    return np.abs(np.fft.ifft(padded, axis=1) * L)
+    np.fft.ifft(pad, axis=1, out=spec)
+    spec *= pad.shape[1]
+    return np.abs(spec, out=mod)
 
 
 def ww_sup_grid(w: Weight, f: OrbitSequence, N: int, oversample: int = 8) -> WWResult:
@@ -192,7 +197,9 @@ def ww_sup_grid(w: Weight, f: OrbitSequence, N: int, oversample: int = 8) -> WWR
         raise ValueError(f"need weight and orbit of length >= N={N}")
     x = w.values[:N] * f.values[:N]
     L = oversample * N
-    mods = _grid_modulus(x[None, :], L)[0] / N
+    pad = np.zeros((1, L), dtype=complex)
+    pad[0, 1 : N + 1] = x
+    mods = _grid_modulus(pad, pad, np.empty(pad.shape))[0] / N
     j_star = int(np.argmax(mods))
     n = np.arange(1, N + 1, dtype=np.float64)
     lip = 2.0 * np.pi * float(np.sum(n * np.abs(x))) / N
@@ -255,9 +262,19 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _normalized(dtype: str, data: bytes, N: int, s: int) -> float:
+    """||w||_{U^s[N]} of the weight whose exact bytes are ``data``.
+
+    Keyed on the bytes themselves, not a digest, so a hit is never a
+    collision; one weight is normed once however many inequalities use it.
+    """
+    w = np.frombuffer(data, dtype=dtype).copy()
+    return gowers_normalized(Series(w, offset=1), N, s).normalized
+
+
 def _norm_pow(w: np.ndarray, N: int, s: int, power: int) -> float:
-    res = gowers_normalized(Series(np.asarray(w), offset=1), N, s)
-    return float(res.normalized**power)
+    return float(_normalized(w.dtype.str, w.tobytes(), N, s) ** power)
 
 
 def ineq_u2(f: np.ndarray, w: np.ndarray, N: int) -> IneqResult:
@@ -268,13 +285,15 @@ def ineq_u2(f: np.ndarray, w: np.ndarray, N: int) -> IneqResult:
     return IneqResult("u2", N, lhs, _norm_pow(w[:N], N, 2, 2))
 
 
-def _shift_matrix(f: np.ndarray, N: int, xs: np.ndarray) -> np.ndarray:
-    """Rows u_x(n) = f(x - n), n = 1..N, for 1-based x in xs; zero outside [N]."""
-    fpad = np.zeros(2 * N + 2, dtype=f.dtype)
-    fpad[1 : N + 1] = f[:N]
-    idx = xs[:, None] - np.arange(1, N + 1)[None, :]
-    idx = np.where((idx >= 1) & (idx <= N), idx, 2 * N + 1)
-    return fpad[idx]
+def _shift_matrix(f: np.ndarray, N: int) -> np.ndarray:
+    """Rows u_x(n) = f(x - n), n = 1..N, for x = 1..2N (row x - 1); zero outside [N].
+
+    A strided view of one zero-padded copy of f: nothing of size 2N x N is
+    allocated until a caller combines the rows with something.
+    """
+    ext = np.zeros(3 * N - 1, dtype=f.dtype)  # ext[x - n + N - 1] = f(x - n)
+    ext[N : 2 * N] = f[:N]
+    return sliding_window_view(ext, N)[: 2 * N, ::-1]
 
 
 def ineq_u3_modulated(f: np.ndarray, w: np.ndarray, N: int,
@@ -283,16 +302,32 @@ def ineq_u3_modulated(f: np.ndarray, w: np.ndarray, N: int,
 
     The inner sup picks, for every x separately, the grid frequency
     maximizing |E_n w(n) f(x-n) e(n theta)| -- the worst theta(x) the bound
-    must absorb.
+    must absorb.  The rows go through the grid kernel in batches of
+    max(1, min(256, 2^22 // (16 L))) rows, about 4 MB of complex values and
+    a size fixed by L alone, reusing one set of buffers; the fourth powers
+    are summed in fixed blocks of 256 rows, so the value does not depend on
+    the batch size.
     """
+    if oversample < 2:
+        raise ValueError(f"oversample must be >= 2, got {oversample}")
     f, w = np.asarray(f), np.asarray(w)
     L = oversample * N
+    batch = max(1, min(256, (1 << 22) // (16 * L)))
+    pad = np.zeros((batch, L), dtype=complex)
+    spec = np.empty_like(pad)
+    mod = np.empty(pad.shape)
+    sup = np.empty(256)
+    u = _shift_matrix(f, N)
     acc = 0.0
-    for lo in range(1, 2 * N + 1, 256):
-        xs = np.arange(lo, min(lo + 256, 2 * N + 1))
-        rows = _shift_matrix(f, N, xs) * w[None, :N]
-        sup = np.max(_grid_modulus(rows, L), axis=1) / N
-        acc += float(np.sum(sup**4))
+    for lo in range(0, 2 * N, 256):
+        hi = min(lo + 256, 2 * N)
+        for a in range(lo, hi, batch):
+            m = min(batch, hi - a)
+            np.multiply(u[a : a + m], w[:N], out=pad[:m, 1 : N + 1])
+            np.max(_grid_modulus(pad[:m], spec[:m], mod[:m]), axis=1,
+                   out=sup[a - lo : a - lo + m])
+        block = sup[: hi - lo] / N
+        acc += float(np.sum(block**4))
     lhs = acc / (2 * N)
     return IneqResult("u3mod", N, lhs, _norm_pow(w[:N], N, 3, 4))
 
@@ -314,8 +349,7 @@ def ineq_rtt(f: np.ndarray, w: np.ndarray, g_family: np.ndarray, N: int) -> Ineq
     g_family = np.asarray(g_family)
     if g_family.shape != (2 * N, N):
         raise ValueError(f"g_family must have shape (2N, N) = {(2 * N, N)}")
-    xs = np.arange(1, 2 * N + 1)
-    u = _shift_matrix(f, N, xs) * w[None, :N]  # rows u_x
+    u = _shift_matrix(f, N) * w[None, :N]  # rows u_x
     size = 1 << (2 * N - 1).bit_length()
     U = np.fft.fft(u, size, axis=1)
     G = np.fft.fft(g_family, size, axis=1)

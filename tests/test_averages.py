@@ -259,6 +259,49 @@ def test_ineq_u3mod_quadratic_phase_weight():
     assert res.lhs <= INEQ_CONSTANTS["u3mod"]
 
 
+def _u3mod_lhs_bruteforce(f, w, N, K):
+    """E_x max_j |E_n w(n) f(x-n) e(n j / (K N))|^4 as explicit sums over n."""
+    L = K * N
+    n = np.arange(1, N + 1)
+    E = np.exp(2j * np.pi * np.outer(n, np.arange(L)) / L)  # e(n j / L)
+    total = 0.0
+    for x in range(1, 2 * N + 1):
+        row = np.array([w[k - 1] * f[x - k - 1] if 1 <= x - k <= N else 0.0
+                        for k in range(1, N + 1)])
+        total += np.max(np.abs(row @ E / N)) ** 4
+    return total / (2 * N)
+
+
+@pytest.mark.parametrize("N", [1, 5, 16, 33])
+@pytest.mark.parametrize("K", [2, 3, 8])
+def test_ineq_u3mod_matches_bruteforce(N, K):
+    rng = np.random.default_rng(100 * N + K)
+    f = bounded_random(rng, N)
+    for w in (rng.standard_normal(N), bounded_random(rng, N)):
+        res = averages.ineq_u3_modulated(f, w, N, oversample=K)
+        assert res.lhs == pytest.approx(_u3mod_lhs_bruteforce(f, w, N, K), rel=1e-12)
+
+
+def test_ineq_u3mod_transfer_lhs_pinned():
+    # the modulated lhs of the three shipped systems against the calibration
+    # transfer weight Lambda - Lambda_{<=Q_N}, bit for bit
+    N = 256
+    w = (arith.build_sieve(N).vonmangoldt[1 : N + 1]
+         - hb_model.lambda_leq(hb_model.q_schedule(N), N).values)
+    pins = ((averages.rotation(sqrt(2.0) % 1.0, 0.0), 0.00849367456294889),
+            (averages.doubling("sqrt2"), 0.001019330021057572),
+            (averages.random_signs(7), 0.0008020596594014646))
+    for system, lhs in pins:
+        res = averages.ineq_u3_modulated(averages.orbit(system, N).values, w, N, oversample=8)
+        assert res.lhs == lhs, system.kind
+
+
+@pytest.mark.parametrize("oversample", [1, 0])
+def test_ineq_u3mod_oversample_guard(oversample):
+    with pytest.raises(ValueError, match=f"oversample must be >= 2, got {oversample}"):
+        averages.ineq_u3_modulated(np.ones(8), np.ones(8), 8, oversample=oversample)
+
+
 def test_ineq_u4_convolution_regression():
     rng = np.random.default_rng(5)
     C = INEQ_CONSTANTS["u4conv"]

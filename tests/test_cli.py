@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hbgowers
-from hbgowers import arith, cli, cube, gowers
+from hbgowers import arith, averages, cli, cube, gowers
 
 
 def run(tmp_path, *argv):
@@ -65,6 +65,18 @@ def test_exit_two_bad_threads(tmp_path, capsys, monkeypatch, threads):
     ini.write_text(f"[sweep]\nthreads = {threads}\n")
     assert run(tmp_path, "unorm", "--s", "3", "--config", str(ini)) == 2
     assert "precondition: workers must be >= 1" in capsys.readouterr().err
+
+
+def test_exit_two_bad_oversample(tmp_path, capsys):
+    assert run(tmp_path, "ineq", "--name", "u3mod", "--N", "64", "--oversample", "1") == 2
+    assert "precondition: oversample must be >= 2, got 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_exit_two_bad_trials(tmp_path, capsys, trials):
+    assert run(tmp_path, "ineq", "--name", "u2", "--N", "32", "--trials", trials) == 2
+    assert "precondition: --trials must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "ineq_u2_N32.csv").exists()
 
 
 def test_exit_three_decay_budget(tmp_path, capsys):
@@ -184,6 +196,33 @@ def test_ineq_verb(tmp_path):
     lines = (tmp_path / "ineq_u2_N32.csv").read_text().splitlines()
     assert lines[0] == "name,N,trial,lhs,rhs,ratio"
     assert len(lines) == 4
+
+
+def test_ineq_rhs_once_per_weight(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return gowers.gowers_normalized(*args, **kwargs)
+
+    averages._normalized.cache_clear()
+    monkeypatch.setattr(averages, "gowers_normalized", counted)
+    assert run(tmp_path, "ineq", "--name", "all", "--N", "64", "--trials", "3") == 0
+    averages._normalized.cache_clear()
+    assert sorted(calls) == [(64, 2), (64, 3)]
+
+
+def test_ineq_rows_independent_of_names(tmp_path):
+    # the g-family is drawn only for rtt; skipping it must leave every later draw as it was
+    def u3mod_rows(name):
+        out = tmp_path / name
+        assert run(out, "ineq", "--name", name, "--N", "32", "--trials", "2") == 0
+        lines = (out / f"ineq_{name}_N32.csv").read_bytes().splitlines()
+        return [line for line in lines if line.startswith(b"u3mod,")]
+
+    rows = u3mod_rows("u3mod")
+    assert len(rows) == 2
+    assert rows == u3mod_rows("all")
 
 
 def test_ap_verb(tmp_path):
