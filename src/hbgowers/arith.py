@@ -64,6 +64,14 @@ class FactorList:
 def build_sieve(limit: int) -> SieveTables:
     """Sieve mu, phi, Lambda and smallest-prime-factor up to ``limit``.
 
+    One pass over the primes p <= isqrt(limit) slices every table at the
+    multiples of p: spf takes p where still unset, mu flips sign at p | n
+    and vanishes at p^2 | n, phi drops its factor 1/p, and ``rest`` loses
+    every power of p.  What is left in ``rest`` is 1 or the single prime
+    factor above sqrt(limit), which one masked step folds into mu and phi.
+    Lambda is log p from one vectorised log over all primes, copied to the
+    powers p^k (k >= 2) so that Lambda(p^k) == Lambda(p) bit for bit.
+
     Args:
         limit: inclusive upper bound, 1 <= limit <= 2^31.
 
@@ -76,51 +84,38 @@ def build_sieve(limit: int) -> SieveTables:
         raise ValueError(f"sieve limit {limit} exceeds memory guard {_SIEVE_LIMIT_MAX}")
 
     n = limit
-    idx = np.arange(n + 1, dtype=np.int64)
     spf = np.zeros(n + 1, dtype=np.int64)
-    for p in range(2, isqrt(n) + 1):
-        if spf[p] == 0:
-            view = spf[p * p :: p]
-            view[view == 0] = p
-    unmarked = spf == 0
-    spf[unmarked] = idx[unmarked]  # remaining entries >= 2 are prime
-    if n >= 1:
-        spf[1] = 1
-    spf[0] = 0
-
-    # Peel one prime factor per pass; log2(limit) passes of full-array numpy
-    # work instead of a per-integer Python loop.
-    m = idx.copy()
     mu = np.ones(n + 1, dtype=np.int8)
-    phi = np.ones(n + 1, dtype=np.int64)
-    last_p = np.zeros(n + 1, dtype=np.int64)
+    phi = np.arange(n + 1, dtype=np.int64)
+    rest = phi.copy()
+    small, powers = [], []
+    for p in range(2, isqrt(n) + 1):
+        if spf[p]:
+            continue  # composite: its smallest prime already marked it
+        small.append(p)
+        view = spf[p::p]
+        view[view == 0] = p
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+        view = phi[p::p]
+        view -= view // p
+        pk = p
+        while pk <= n:
+            rest[pk::pk] //= p
+            powers.append(pk)
+            pk *= p
+    cofactor = rest > 1
+    mu[cofactor] *= -1
+    phi[cofactor] -= phi[cofactor] // rest[cofactor]
     mu[0] = 0
-    phi[0] = 0
-    active = np.nonzero(m > 1)[0]
-    while active.size:
-        p = spf[m[active]]
-        repeated = last_p[active] == p
-        rep_idx = active[repeated]
-        new_idx = active[~repeated]
-        phi[rep_idx] *= p[repeated]
-        mu[rep_idx] = 0
-        phi[new_idx] *= p[~repeated] - 1
-        mu[new_idx] = -mu[new_idx]
-        last_p[active] = p
-        m[active] //= p
-        active = active[m[active] > 1]
 
+    large = np.flatnonzero(spf == 0)[2:]  # unmarked n >= 2 are primes > sqrt(n)
+    spf[large] = large
+    spf[1] = 1
     vm = np.zeros(n + 1, dtype=np.float64)
-    primes = idx[(spf == idx) & (idx >= 2)]
+    primes = np.concatenate([np.array(small, dtype=np.int64), large])
     vm[primes] = np.log(primes.astype(np.float64))
-    k = 2
-    while (1 << k) <= n:
-        root = int(round(n ** (1.0 / k))) + 2
-        base = primes[primes <= root]
-        powers = base**k
-        ok = (powers > 0) & (powers <= n)
-        vm[powers[ok]] = np.log(base[ok].astype(np.float64))
-        k += 1
+    vm[powers] = vm[spf[powers]]
 
     return SieveTables(limit=n, mobius=mu, totient=phi, vonmangoldt=vm, spf=spf)
 

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from hbgowers.gowers import Series, gowers_normalized
-from hbgowers.hb_model import Weight, hb_period, lambda_Q
+from hbgowers.hb_model import Weight
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -206,28 +206,6 @@ def ww_sup_grid(w: Weight, f: OrbitSequence, N: int, oversample: int = 8) -> WWR
     return WWResult(N=N, oversample=oversample, theta_star=j_star / L,
                     sup_modulus=float(mods[j_star]),
                     grid_error_bound=lip / (2.0 * L))
-
-
-def lq_average_periodic(Q: int, f: OrbitSequence, theta: float, N: int) -> complex:
-    """E_{n<=N} Lambda_Q(n) e(n theta) f_n via the period decomposition.
-
-    Splits n = m + jP, P = P_Q: the weight factor Lambda_Q(m) e(m theta) is
-    tabulated on one period (O(P) weight evaluations instead of O(N)) and the
-    block phases e(j P theta) close the sum in one pass over the data.
-    """
-    if N > f.length:
-        raise ValueError(f"orbit shorter than N={N}")
-    P = hb_period(Q)
-    w_period = lambda_Q(Q, P).values
-    m = np.arange(1, P + 1, dtype=np.float64)
-    w_theta = w_period * np.exp(2j * np.pi * theta * m)
-    blocks = (N + P - 1) // P
-    padded = np.zeros(blocks * P, dtype=complex)
-    padded[:N] = f.values[:N]
-    grid = padded.reshape(blocks, P)
-    row = grid @ w_theta
-    j = np.arange(blocks, dtype=np.float64)
-    return complex(np.sum(row * np.exp(2j * np.pi * theta * P * j)) / N)
 
 
 def rtt_average(w: Weight, f: OrbitSequence, g: OrbitSequence, N: int) -> complex:

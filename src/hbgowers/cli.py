@@ -34,7 +34,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from math import log2, prod
+from math import isfinite, log2, prod
 from pathlib import Path
 
 import numpy as np
@@ -231,7 +231,10 @@ def parse_system(spec: str) -> averages.SystemDescriptor:
             raw = kv["alpha"]
             alpha = _NAMED_IRRATIONALS.get(raw, None)
             alpha = float(raw) if alpha is None else alpha % 1.0
-            return averages.rotation(alpha, float(kv.get("x", 0.0)))
+            x = float(kv.get("x", 0.0))
+            if not (isfinite(alpha) and isfinite(x)):
+                raise ValueError("alpha and x must be finite")
+            return averages.rotation(alpha, x)
         if kind == "doubling":
             return averages.doubling(kv.get("x", "sqrt2"))
         if kind == "signs":
@@ -270,6 +273,8 @@ def cmd_unorm(args, cfg: SweepConfig) -> dict:
 
 
 def cmd_ap(args, cfg: SweepConfig) -> dict:
+    if args.q < 1:
+        raise Precondition("--q must be >= 1")
     w = parse_weight(args.weight, args.N, args.T, args.cache_dir)
     params = _twist_params(args.weight) if args.weight.startswith("twist:") else None
     rows = []

@@ -77,6 +77,31 @@ def test_sieve_small_fixtures(tables):
     assert tables.vonmangoldt[6] == 0.0
 
 
+def test_sieve_every_small_limit():
+    # every limit 1..200 crosses the isqrt boundary (p^2 - 1, p^2, p^2 + 1)
+    # and the step for the prime cofactor above sqrt(limit)
+    top = 200
+    mu = [0] + [mobius_trial(n) for n in range(1, top + 1)]
+    phi = [0] + [totient_trial(n) for n in range(1, top + 1)]
+    lam = [vonmangoldt_trial(n) for n in range(top + 1)]
+    spf = [0, 1] + [next(d for d in range(2, n + 1) if n % d == 0) for n in range(2, top + 1)]
+    for limit in range(1, top + 1):
+        t = arith.build_sieve(limit)
+        assert t.limit == limit
+        assert (t.mobius.dtype, t.totient.dtype, t.vonmangoldt.dtype, t.spf.dtype) == (
+            np.int8, np.int64, np.float64, np.int64)
+        assert t.mobius.tolist() == mu[: limit + 1], limit
+        assert t.totient.tolist() == phi[: limit + 1], limit
+        assert t.spf.tolist() == spf[: limit + 1], limit
+        assert np.allclose(t.vonmangoldt, lam[: limit + 1], rtol=0, atol=1e-12), limit
+        for p in range(2, limit + 1):
+            if spf[p] == p:
+                pk = p * p
+                while pk <= limit:
+                    assert t.vonmangoldt[pk].tobytes() == t.vonmangoldt[p].tobytes(), (limit, pk)
+                    pk *= p
+
+
 def test_sieve_limit_guard():
     with pytest.raises(ValueError):
         arith.build_sieve(0)

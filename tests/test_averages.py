@@ -163,38 +163,6 @@ def test_ww_sup_grid_guards():
         averages.ww_sup_grid(ones, f, N + 1)
 
 
-def test_lq_average_periodic_equals_direct():
-    rng = np.random.default_rng(2)
-    N = 600
-    for trial in range(100):
-        Q = (2, 4, 8)[trial % 3]
-        theta = float(rng.uniform())
-        vals = bounded_random(rng, N)
-        f = averages.OrbitSequence(vals, averages.rotation(0.0, 0.0))
-        w = hb_model.lambda_Q(Q, N)
-        direct = averages.ww_average(w, f, theta, N)
-        fast = averages.lq_average_periodic(Q, f, theta, N)
-        assert fast == pytest.approx(direct, abs=1e-9), (trial, Q)
-
-
-def test_lq_average_full_periods_exact():
-    # N a multiple of P_Q: the block decomposition is exact, not approximate
-    N = 120  # 10 periods of Lambda_4
-    f = averages.orbit(averages.rotation(0.21, 0.0), N)
-    direct = averages.ww_average(hb_model.lambda_Q(4, N), f, 0.37, N)
-    fast = averages.lq_average_periodic(4, f, 0.37, N)
-    assert fast == pytest.approx(direct, abs=1e-12)
-
-
-def test_lq_theta_zero_near_zero_mean():
-    # E Lambda_Q e(0 n) over full periods is exactly zero for Q >= 2
-    N = 840 * 2
-    f = averages.OrbitSequence(np.ones(N, dtype=complex),
-                               averages.rotation(0.0, 0.0))
-    val = averages.lq_average_periodic(8, f, 0.0, N)
-    assert abs(val) < 1e-12
-
-
 def test_rtt_average_fixtures():
     N = 100
     ones_w = hb_model.Weight("one", np.ones(N))

@@ -51,6 +51,21 @@ def test_exit_two_bad_system(tmp_path, capsys):
     # a known kind with a missing parameter is malformed, not unknown
     assert run(tmp_path, "ww", "--system", "rotation:x=0.1", "--N", "64") == 2
     assert "bad system spec 'rotation:x=0.1'" in capsys.readouterr().err
+    # non-finite rotation parameters would write nan rows
+    for spec in ("rotation:alpha=nan", "rotation:alpha=inf", "rotation:alpha=0.3,x=inf"):
+        assert run(tmp_path, "ww", "--system", spec, "--N", "64") == 2
+        assert f"bad system spec '{spec}'" in capsys.readouterr().err
+    spec = "rotation:alpha=-inf"
+    assert run(tmp_path, "rtt", "--system2", spec, "--N", "64") == 2
+    assert f"bad system spec '{spec}'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("q", ["0", "-3"])
+def test_exit_two_bad_ap_modulus(tmp_path, capsys, q):
+    assert run(tmp_path, "ap", "--q", q, "--N", "100") == 2
+    assert "precondition: --q must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
