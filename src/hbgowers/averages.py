@@ -274,8 +274,8 @@ def _shift_matrix(f: np.ndarray, N: int) -> np.ndarray:
     return sliding_window_view(ext, N)[: 2 * N, ::-1]
 
 
-def ineq_u3_modulated(f: np.ndarray, w: np.ndarray, N: int,
-                      oversample: int = 4) -> IneqResult:
+def ineq_u3_modulated(f: np.ndarray, w: np.ndarray, N: int, *,
+                      oversample: int) -> IneqResult:
     """Adversarially modulated fourth-moment control by ||w||^4_{U^3[N]}.
 
     The inner sup picks, for every x separately, the grid frequency

@@ -22,12 +22,21 @@ carries timestamps, parameters and output digests.
 A startup micro-benchmark calibrates the cost model c * N^2 log N for the
 U^3 paths; work estimated over --budget-seconds is refused with exit code 3
 before any heavy allocation.
+
+Each verb takes --config and --out-dir plus only the flags it reads; any other
+flag is refused by argparse with exit code 2.  --config reads the INI [sweep]
+(or DEFAULT) section into the parsed arguments: the keys ns, qs, oversample,
+threads and budget_seconds replace the flag of the same name, cache_dir only
+fills a missing --cache-dir, an empty ns or qs is ignored, and a key whose flag
+the verb lacks is skipped.  ww and rtt have no --ns flag, but the config ns
+sweeps their N.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import sys
@@ -55,16 +64,12 @@ class BudgetExceeded(Exception):
 # cost model
 
 
-_u3_coeff_cache: list[float] = []
-
-
+@functools.cache
 def _u3_coeff() -> float:
     """Seconds per (N^2 log2 N) unit of U^3 work, micro-benchmarked once."""
-    if not _u3_coeff_cache:
-        probe = gowers.Series(np.random.default_rng(0).standard_normal(256))
-        best = min(_timed(lambda: gowers.gowers_u3_fast(probe)) for _ in range(2))
-        _u3_coeff_cache.append(best / (256.0**2 * log2(256)))
-    return _u3_coeff_cache[0]
+    probe = gowers.Series(np.random.default_rng(0).standard_normal(256))
+    best = min(_timed(lambda: gowers.gowers_u3_fast(probe)) for _ in range(2))
+    return best / (256.0**2 * log2(256))
 
 
 def _timed(fn) -> float:
@@ -87,36 +92,22 @@ def check_budget(estimate: float, budget: float, what: str) -> None:
 # config and manifest
 
 
-@dataclass
-class SweepConfig:
-    """Defaults and sweep ranges, loadable from an INI file ([sweep] section)."""
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",") if x.strip()]
 
-    ns: list[int] = field(default_factory=list)
-    qs: list[int] = field(default_factory=list)
-    oversample: int | None = None
-    threads: int | None = None
-    cache_dir: str | None = None
-    budget_seconds: float | None = None
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SweepConfig":
-        parser = configparser.ConfigParser()
-        if not parser.read(path):
-            raise Precondition(f"config file {path} not found or unreadable")
-        sec = parser["sweep"] if parser.has_section("sweep") else parser["DEFAULT"]
-        cfg = cls()
-        if "ns" in sec:
-            cfg.ns = [int(x) for x in sec["ns"].split(",") if x.strip()]
-        if "qs" in sec:
-            cfg.qs = [int(x) for x in sec["qs"].split(",") if x.strip()]
-        for key in ("oversample", "threads"):
-            if key in sec:
-                setattr(cfg, key, int(sec[key]))
-        if "cache_dir" in sec:
-            cfg.cache_dir = sec["cache_dir"]
-        if "budget_seconds" in sec:
-            cfg.budget_seconds = float(sec["budget_seconds"])
-        return cfg
+_CONFIG_KEYS = {"ns": _int_list, "qs": _int_list, "oversample": int, "threads": int,
+                "cache_dir": str, "budget_seconds": float}
+
+
+def _read_config(path: str) -> dict:
+    """The config keys set in the INI [sweep] (or DEFAULT) section, parsed."""
+    parser = configparser.ConfigParser()
+    if not parser.read(path):
+        raise Precondition(f"config file {path} not found or unreadable")
+    sec = parser["sweep"] if parser.has_section("sweep") else parser["DEFAULT"]
+    values = {key: parse(sec[key]) for key, parse in _CONFIG_KEYS.items() if key in sec}
+    return {key: value for key, value in values.items() if value not in ([], "")}
 
 
 @dataclass
@@ -248,7 +239,7 @@ def parse_system(spec: str) -> averages.SystemDescriptor:
 # verbs
 
 
-def cmd_sieve(args, cfg: SweepConfig) -> dict:
+def cmd_sieve(args) -> dict:
     tables = _sieve_for(args.N, args.cache_dir)
     psi = float(tables.vonmangoldt[: args.N + 1].sum())
     n_primes = int(np.count_nonzero(
@@ -257,7 +248,7 @@ def cmd_sieve(args, cfg: SweepConfig) -> dict:
     return {"limit": args.N, "primes": n_primes, "psi": psi}
 
 
-def cmd_unorm(args, cfg: SweepConfig) -> dict:
+def cmd_unorm(args) -> dict:
     w = parse_weight(args.weight, args.N, args.T, args.cache_dir)
     rows = []
     for s in args.s:
@@ -272,7 +263,7 @@ def cmd_unorm(args, cfg: SweepConfig) -> dict:
     return {"csv": str(out), "norms": {str(r[0]): r[4] for r in rows}}
 
 
-def cmd_ap(args, cfg: SweepConfig) -> dict:
+def cmd_ap(args) -> dict:
     if args.q < 1:
         raise Precondition("--q must be >= 1")
     w = parse_weight(args.weight, args.N, args.T, args.cache_dir)
@@ -295,7 +286,7 @@ def cmd_ap(args, cfg: SweepConfig) -> dict:
     return {"csv": str(out), "worst_rel_error": worst}
 
 
-def cmd_cube(args, cfg: SweepConfig) -> dict:
+def cmd_cube(args) -> dict:
     if args.mask is not None:
         masks = [args.mask]
         if not 0 <= args.mask < 256:
@@ -314,13 +305,12 @@ def cmd_cube(args, cfg: SweepConfig) -> dict:
     return {"csv": str(out), "admissible": n_adm}
 
 
-def cmd_expect(args, cfg: SweepConfig) -> dict:
+def cmd_expect(args) -> dict:
     tuples: list[tuple[int, ...]] = []
     if args.qs:
-        vals = tuple(int(x) for x in args.qs.split(","))
-        if len(vals) != 8:
-            raise Precondition(f"--qs needs 8 comma-separated entries, got {len(vals)}")
-        tuples.append(vals)
+        if len(args.qs) != 8:
+            raise Precondition(f"--qs needs 8 comma-separated entries, got {len(args.qs)}")
+        tuples.append(tuple(args.qs))
     if args.samples:
         rng = np.random.default_rng(args.seed)
         pool = [1, 2, 3, 5, 6, 7, 10]
@@ -341,7 +331,7 @@ def cmd_expect(args, cfg: SweepConfig) -> dict:
     return {"csv": str(out), "tuples": len(tuples), "zero": n_zero}
 
 
-def cmd_ineq(args, cfg: SweepConfig) -> dict:
+def cmd_ineq(args) -> dict:
     if args.trials < 1:
         raise Precondition("--trials must be >= 1")
     w = parse_weight(args.weight, args.N, args.T, args.cache_dir)
@@ -382,8 +372,8 @@ def cmd_ineq(args, cfg: SweepConfig) -> dict:
     return {"csv": str(out), "violations": violations, "max_ratio": max_ratio}
 
 
-def cmd_ww(args, cfg: SweepConfig) -> dict:
-    ns = cfg.ns or [args.N]
+def cmd_ww(args) -> dict:
+    ns = args.ns or [args.N]
     system = parse_system(args.system)
     rows = []
     for N in ns:
@@ -398,8 +388,8 @@ def cmd_ww(args, cfg: SweepConfig) -> dict:
     return {"csv": str(out), "sup": rows[-1][2]}
 
 
-def cmd_rtt(args, cfg: SweepConfig) -> dict:
-    ns = cfg.ns or [args.N]
+def cmd_rtt(args) -> dict:
+    ns = args.ns or [args.N]
     sys_f = parse_system(args.system)
     sys_g = parse_system(args.system2)
     rows = []
@@ -415,11 +405,12 @@ def cmd_rtt(args, cfg: SweepConfig) -> dict:
     return {"csv": str(out), "modulus": rows[-1][1]}
 
 
-def cmd_decay(args, cfg: SweepConfig) -> dict:
-    qs = cfg.qs or args.qs
+def cmd_decay(args) -> dict:
+    if args.M < 1:
+        raise Precondition("--M must be >= 1")
     rows = []
     premise = {}
-    for Q in qs:
+    for Q in args.qs:
         P = hb_model.hb_period(Q)
         if args.mode in ("interval", "both"):
             # the interval must contain a full period of the Q-block weight,
@@ -434,8 +425,9 @@ def cmd_decay(args, cfg: SweepConfig) -> dict:
             rows.append((Q, M, "interval", res.normalized))
             premise[str(Q)] = M >= Q**20
         if args.mode in ("cyclic", "both"):
-            if P > 4096:
-                raise Precondition(f"cyclic mode at Q={Q} needs P_Q <= 4096, got {P}")
+            if P > gowers._CYCLIC_P_MAX:
+                raise Precondition(
+                    f"cyclic mode at Q={Q} needs P_Q <= {gowers._CYCLIC_P_MAX}, got {P}")
             w = hb_model.lambda_Q(Q, P)
             rows.append((Q, P, "cyclic", gowers.gowers_cyclic(w.values, 3)))
     out = Path(args.out_dir) / f"decay_{args.mode}.csv"
@@ -450,10 +442,9 @@ def cmd_decay(args, cfg: SweepConfig) -> dict:
     return {"csv": str(out), **stats}
 
 
-def cmd_approx(args, cfg: SweepConfig) -> dict:
-    ns = cfg.ns or args.ns
+def cmd_approx(args) -> dict:
     rows = []
-    for N in ns:
+    for N in args.ns:
         if N > 10**7:
             raise Precondition(f"approx needs N <= 10^7, got {N}")
         if args.s == 3 and N > 1 << 15:
@@ -480,68 +471,74 @@ def cmd_approx(args, cfg: SweepConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# the flags that more than one verb takes, by name
+_FLAGS = {
+    "--config": dict(default=None),
+    "--out-dir": dict(default="results"),
+    "--N": dict(type=int, default=1024),
+    "--T": dict(type=int, default=None),
+    "--weight": dict(default="hbsum:T=4"),
+    "--cache-dir": dict(default=None),
+    "--oversample": dict(type=int, default=8),
+    "--threads": dict(type=int, default=1),
+    "--budget-seconds": dict(type=float, default=600.0),
+    "--seed": dict(type=int, default=1),
+    "--system": dict(default="rotation:alpha=sqrt2"),
+}
+_WEIGHT_FLAGS = ("--N", "--T", "--weight", "--cache-dir")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hbg", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp):
-        sp.add_argument("--N", type=int, default=1024)
-        sp.add_argument("--T", type=int, default=None)
-        sp.add_argument("--weight", default="hbsum:T=4")
-        sp.add_argument("--oversample", type=int, default=8)
-        sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--cache-dir", default=None)
-        sp.add_argument("--budget-seconds", type=float, default=600.0)
-        sp.add_argument("--config", default=None)
-        sp.add_argument("--out-dir", default="results")
-        sp.add_argument("--seed", type=int, default=1)
+    def verb(name, help, *flags):
+        sp = sub.add_parser(name, help=help)
+        for flag in ("--config", "--out-dir", *flags):
+            sp.add_argument(flag, **_FLAGS[flag])
+        return sp
 
-    sp = sub.add_parser("sieve", help="build (and optionally cache) sieve tables")
-    common(sp)
+    verb("sieve", "build (and optionally cache) sieve tables", "--N", "--cache-dir")
 
-    sp = sub.add_parser("unorm", help="normalized Gowers norms of a weight")
-    common(sp)
+    sp = verb("unorm", "normalized Gowers norms of a weight",
+              *_WEIGHT_FLAGS, "--threads", "--budget-seconds")
     sp.add_argument("--s", type=int, nargs="+", default=[2, 3], choices=[1, 2, 3])
 
-    sp = sub.add_parser("ap", help="progression sums against main terms")
-    common(sp)
+    sp = verb("ap", "progression sums against main terms", *_WEIGHT_FLAGS)
     sp.add_argument("--q", type=int, default=4)
 
-    sp = sub.add_parser("cube", help="greening table over vertex masks")
-    common(sp)
+    sp = verb("cube", "greening table over vertex masks")
     sp.add_argument("--exhaustive", action="store_true",
                     help="all 256 masks (the default when --mask is absent)")
     sp.add_argument("--mask", type=int, default=None, help="single 8-bit mask")
 
-    sp = sub.add_parser("expect", help="Ramanujan cube expectations")
-    common(sp)
-    sp.add_argument("--qs", default=None, help="8 comma-separated squarefree moduli")
+    sp = verb("expect", "Ramanujan cube expectations", "--seed")
+    sp.add_argument("--qs", type=_int_list, default=None,
+                    help="8 comma-separated squarefree moduli")
     sp.add_argument("--samples", type=int, default=0)
 
-    sp = sub.add_parser("ineq", help="transfer inequality trials")
-    common(sp)
+    sp = verb("ineq", "transfer inequality trials", *_WEIGHT_FLAGS, "--oversample", "--seed")
     sp.add_argument("--name", default="all",
                     choices=["all", "u2", "u3mod", "u4conv", "rtt", "double"])
     sp.add_argument("--trials", type=int, default=10)
 
-    sp = sub.add_parser("ww", help="modulated sup over the frequency grid")
-    common(sp)
-    sp.add_argument("--system", default="rotation:alpha=sqrt2")
+    # ww and rtt sweep N only through the config's ns key
+    sp = verb("ww", "modulated sup over the frequency grid",
+              *_WEIGHT_FLAGS, "--oversample", "--system")
+    sp.set_defaults(ns=None)
 
-    sp = sub.add_parser("rtt", help="return-times pairing of two orbits")
-    common(sp)
-    sp.add_argument("--system", default="rotation:alpha=sqrt2")
+    sp = verb("rtt", "return-times pairing of two orbits", *_WEIGHT_FLAGS, "--system")
     sp.add_argument("--system2", default="rotation:alpha=-0.41421356237309515")
+    sp.set_defaults(ns=None)
 
-    sp = sub.add_parser("decay", help="block-weight U^3 norms across Q")
-    common(sp)
+    sp = verb("decay", "block-weight U^3 norms across Q", "--threads", "--budget-seconds")
     sp.add_argument("--qs", type=int, nargs="+", default=[2, 4, 8])
     sp.add_argument("--M", type=int, default=1 << 15)
     sp.add_argument("--mode", default="both", choices=["interval", "cyclic", "both"])
 
-    sp = sub.add_parser("approx", help="U^s distance from Lambda to its model")
-    common(sp)
+    sp = verb("approx", "U^s distance from Lambda to its model",
+              "--cache-dir", "--threads", "--budget-seconds")
     sp.add_argument("--ns", type=int, nargs="+", default=[10_000, 100_000, 1_000_000])
     sp.add_argument("--s", type=int, default=2, choices=[2, 3])
 
@@ -557,16 +554,11 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = SweepConfig()
     try:
         if args.config:
-            cfg = SweepConfig.from_file(args.config)
-            for key in ("oversample", "threads", "budget_seconds"):
-                val = getattr(cfg, key)
-                if val is not None:
-                    setattr(args, key, val)
-            if cfg.cache_dir and not args.cache_dir:
-                args.cache_dir = cfg.cache_dir
+            for key, value in _read_config(args.config).items():
+                if key in vars(args) and not (key == "cache_dir" and args.cache_dir):
+                    setattr(args, key, value)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest = RunManifest(
@@ -575,7 +567,7 @@ def main(argv: list[str] | None = None) -> int:
             started=datetime.now(timezone.utc).isoformat(),
         )
         t0 = time.perf_counter()
-        stats = _COMMANDS[args.verb](args, cfg)
+        stats = _COMMANDS[args.verb](args)
         manifest.duration_s = time.perf_counter() - t0
         manifest.finished = datetime.now(timezone.utc).isoformat()
         manifest.stats = stats

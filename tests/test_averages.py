@@ -5,7 +5,7 @@ from math import log, sqrt
 import numpy as np
 import pytest
 
-from hbgowers import arith, averages, gowers, hb_model
+from hbgowers import arith, averages, hb_model
 from hbgowers.averages import bounded_random
 from hbgowers.calibration import INEQ_CONSTANTS, WW_SIGNS_BAND
 

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end: exit codes, CSV shapes,
 manifest records, caching, and config files."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -80,6 +81,28 @@ def test_exit_two_bad_threads(tmp_path, capsys, monkeypatch, threads):
     ini.write_text(f"[sweep]\nthreads = {threads}\n")
     assert run(tmp_path, "unorm", "--s", "3", "--config", str(ini)) == 2
     assert "precondition: workers must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("M", ["0", "-4"])
+def test_exit_two_bad_decay_length(tmp_path, capsys, M):
+    assert run(tmp_path, "decay", "--qs", "2", "--M", M, "--mode", "interval") == 2
+    assert "precondition: --M must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    "decay --N 4096", "approx --N 1000", "cube --oversample 3", "sieve --weight hb:Q=2",
+    "expect --threads 2", "rtt --oversample 4",
+])
+def test_exit_two_unread_flag(tmp_path, capsys, argv):
+    # a flag the verb does not read is refused before anything runs
+    verb, *flag = argv.split()
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, verb, *flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    assert not (tmp_path / "manifest.jsonl").exists()
 
 
 def test_exit_two_bad_oversample(tmp_path, capsys):
@@ -313,6 +336,54 @@ def test_config_file(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["64", "128"]
     rec = manifest_lines(tmp_path)[-1]
     assert rec["params"]["oversample"] == 4
+
+
+def test_config_precedence(tmp_path):
+    cache, other = tmp_path / "cache", tmp_path / "other"
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(f"[sweep]\nns = 64,128\nqs = 3,1,1,3,1,3,3,1\ncache_dir = {other}\n")
+    cli._sieve_memo.clear()
+    assert run(tmp_path, "rtt", "--config", str(ini), "--weight", "vonmangoldt",
+               "--cache-dir", str(cache)) == 0
+    lines = (tmp_path / "rtt_rotation_rotation.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["64", "128"]
+    assert sorted(p.name for p in cache.iterdir()) == ["sieve_128.hbg", "sieve_64.hbg"]
+    assert not other.exists()  # the config cache_dir only fills a missing --cache-dir
+    params = manifest_lines(tmp_path)[-1]["params"]
+    assert params["cache_dir"] == str(cache)
+    assert set(params) == {"config", "out_dir", "N", "T", "weight", "cache_dir",
+                           "system", "system2", "ns"}
+    cli._sieve_memo.clear()
+    assert run(tmp_path, "sieve", "--N", "100", "--config", str(ini)) == 0
+    assert (other / "sieve_100.hbg").exists()
+    # a config value replaces the flag's value
+    assert run(tmp_path, "expect", "--qs", "1,1,1,1,1,1,1,1", "--config", str(ini)) == 0
+    lines = (tmp_path / "expect_1.csv").read_text().splitlines()
+    assert lines[1].startswith("3,1,1,3,1,3,3,1,")
+
+
+# every verb also takes --config and --out-dir
+VERB_FLAGS = {
+    "sieve": "--N --cache-dir",
+    "unorm": "--N --T --weight --cache-dir --threads --budget-seconds --s",
+    "ap": "--N --T --weight --cache-dir --q",
+    "cube": "--mask --exhaustive",
+    "expect": "--qs --samples --seed",
+    "ineq": "--N --T --weight --cache-dir --oversample --seed --name --trials",
+    "ww": "--N --T --weight --cache-dir --oversample --system",
+    "rtt": "--N --T --weight --cache-dir --system --system2",
+    "decay": "--threads --budget-seconds --qs --M --mode",
+    "approx": "--cache-dir --threads --budget-seconds --ns --s",
+}
+
+
+def test_verb_flags():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {verb: {opt for a in sp._actions for opt in a.option_strings} - {"-h", "--help"}
+           for verb, sp in sub.choices.items()}
+    assert got == {verb: {"--config", "--out-dir", *flags.split()}
+                   for verb, flags in VERB_FLAGS.items()}
 
 
 def test_config_file_missing(tmp_path, capsys):
