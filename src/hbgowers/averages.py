@@ -39,6 +39,7 @@ from math import isqrt
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from hbgowers import gowers
 from hbgowers.gowers import Series, gowers_normalized
 from hbgowers.hb_model import Weight
 
@@ -84,9 +85,16 @@ def random_signs(seed: int) -> SystemDescriptor:
 
 
 def bounded_random(rng: np.random.Generator, shape) -> np.ndarray:
-    """Complex values (u + i v) / sqrt(2), u and v uniform on [-1, 1]; modulus <= 1."""
-    z = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
-    return z / np.sqrt(2.0)
+    """Complex values (u + i v) / sqrt(2), u and v uniform on [-1, 1]; modulus <= 1.
+
+    u and v are drawn in that order straight into one complex array, which is
+    scaled in place.
+    """
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.uniform(-1, 1, shape)
+    z.imag = rng.uniform(-1, 1, shape)
+    z /= np.sqrt(2.0)
+    return z
 
 
 def splitmix64(seed: int, count: int) -> np.ndarray:
@@ -281,16 +289,15 @@ def ineq_u3_modulated(f: np.ndarray, w: np.ndarray, N: int, *,
     The inner sup picks, for every x separately, the grid frequency
     maximizing |E_n w(n) f(x-n) e(n theta)| -- the worst theta(x) the bound
     must absorb.  The rows go through the grid kernel in batches of
-    max(1, min(256, 2^22 // (16 L))) rows, about 4 MB of complex values and
-    a size fixed by L alone, reusing one set of buffers; the fourth powers
-    are summed in fixed blocks of 256 rows, so the value does not depend on
-    the batch size.
+    max(1, min(256, gowers._BATCH_POINTS // L)) rows, a size fixed by L
+    alone, reusing one set of buffers; the fourth powers are summed in fixed
+    blocks of 256 rows, so the value does not depend on the batch size.
     """
     if oversample < 2:
         raise ValueError(f"oversample must be >= 2, got {oversample}")
     f, w = np.asarray(f), np.asarray(w)
     L = oversample * N
-    batch = max(1, min(256, (1 << 22) // (16 * L)))
+    batch = max(1, min(256, gowers._BATCH_POINTS // L))
     pad = np.zeros((batch, L), dtype=complex)
     spec = np.empty_like(pad)
     mod = np.empty(pad.shape)
@@ -322,17 +329,30 @@ def ineq_rtt(f: np.ndarray, w: np.ndarray, g_family: np.ndarray, N: int) -> Ineq
     """Return-times control: E_x |E_y |E_n w(n) f(x-n) g_x(y-n)|^2|^2.
 
     ``g_family`` holds one 1-bounded row g_x per x in [2N] (shape (2N, N)).
+    The rows x go through reused (batch, size) spectrum buffers,
+    batch = max(1, gowers._BATCH_POINTS // size), a size fixed by N alone;
+    each row's inner average lands in a (2N,) array that is averaged once,
+    so the value does not depend on the batch size.
     """
     f, w = np.asarray(f), np.asarray(w)
     g_family = np.asarray(g_family)
     if g_family.shape != (2 * N, N):
         raise ValueError(f"g_family must have shape (2N, N) = {(2 * N, N)}")
-    u = _shift_matrix(f, N) * w[None, :N]  # rows u_x
     size = 1 << (2 * N - 1).bit_length()
-    U = np.fft.fft(u, size, axis=1)
-    G = np.fft.fft(g_family, size, axis=1)
-    conv = np.fft.ifft(U * G, axis=1)[:, : 2 * N - 1]  # index y-2 over y = 2..2N
-    inner = np.sum(np.abs(conv[:, : N - 1] / N) ** 2, axis=1) / N  # y <= N
+    batch = max(1, gowers._BATCH_POINTS // size)
+    u = _shift_matrix(f, N)
+    rows = np.empty((batch, N), dtype=np.result_type(f, w))
+    U = np.empty((batch, size), dtype=complex)
+    G = np.empty_like(U)
+    inner = np.empty(2 * N)
+    for a in range(0, 2 * N, batch):
+        m = min(batch, 2 * N - a)
+        np.multiply(u[a : a + m], w[:N], out=rows[:m])  # rows u_x
+        np.fft.fft(rows[:m], size, axis=1, out=U[:m])
+        np.fft.fft(g_family[a : a + m], size, axis=1, out=G[:m])
+        U[:m] *= G[:m]
+        conv = np.fft.ifft(U[:m], axis=1, out=U[:m])  # index y-2 over y = 2..2N
+        inner[a : a + m] = np.sum(np.abs(conv[:, : N - 1] / N) ** 2, axis=1) / N  # y <= N
     lhs = float(np.mean(inner**2))
     return IneqResult("rtt", N, lhs, _norm_pow(w[:N], N, 3, 4))
 

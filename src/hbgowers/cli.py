@@ -248,7 +248,13 @@ def cmd_sieve(args) -> dict:
     return {"limit": args.N, "primes": n_primes, "psi": psi}
 
 
+def _check_lengths(ns: list[int]) -> None:
+    if min(ns) < 1:
+        raise Precondition("--N must be >= 1")
+
+
 def cmd_unorm(args) -> dict:
+    _check_lengths([args.N])
     w = parse_weight(args.weight, args.N, args.T, args.cache_dir)
     rows = []
     for s in args.s:
@@ -266,6 +272,7 @@ def cmd_unorm(args) -> dict:
 def cmd_ap(args) -> dict:
     if args.q < 1:
         raise Precondition("--q must be >= 1")
+    _check_lengths([args.N])
     w = parse_weight(args.weight, args.N, args.T, args.cache_dir)
     params = _twist_params(args.weight) if args.weight.startswith("twist:") else None
     rows = []
@@ -334,6 +341,7 @@ def cmd_expect(args) -> dict:
 def cmd_ineq(args) -> dict:
     if args.trials < 1:
         raise Precondition("--trials must be >= 1")
+    _check_lengths([args.N])
     w = parse_weight(args.weight, args.N, args.T, args.cache_dir)
     rng = np.random.default_rng(args.seed)
     names = list(INEQ_CONSTANTS) if args.name == "all" else [args.name]
@@ -374,6 +382,7 @@ def cmd_ineq(args) -> dict:
 
 def cmd_ww(args) -> dict:
     ns = args.ns or [args.N]
+    _check_lengths(ns)
     system = parse_system(args.system)
     rows = []
     for N in ns:
@@ -390,6 +399,7 @@ def cmd_ww(args) -> dict:
 
 def cmd_rtt(args) -> dict:
     ns = args.ns or [args.N]
+    _check_lengths(ns)
     sys_f = parse_system(args.system)
     sys_g = parse_system(args.system2)
     rows = []

@@ -24,6 +24,9 @@ counted twice when the rows are real):
       on the bucket.  The rows of a batch come from one strided multiply.
     * the cyclic U^2 and U^3 norms, the kernel at n = P on f and on the
       cyclic Delta_h f (the rows are windows of the doubled period).
+Every batch of rows holds about _BATCH_POINTS points whatever the length,
+and each row's value is computed on its own, so the batch size never moves
+a number.
 
 The brute-force evaluator walks the h-tuples of the definition literally and
 is the oracle the fast paths are tested against.
@@ -44,6 +47,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 _BRUTE_LEN_MAX = {1: 8192, 2: 2048, 3: 128}
+# points per batch of every FFT row kernel (here and in averages): about
+# 2-4 MB of spectrum, so each in-place pass over it stays in a per-core L2
+_BATCH_POINTS = 1 << 18
 _CYCLIC_P_MAX = 4096
 _CYCLIC_BRUTE_P_MAX = 32
 _GCS_LEN_MAX = 32
@@ -187,14 +193,14 @@ def _u3_chunks(L: int) -> list[tuple[int, int]]:
 
     Shifts are bucketed by n = _fft_length(L - h): the bucket starting at lo
     ends where L - h drops to n / 4, and is cut into batches of
-    (1 << 22) // n rows.
+    max(1, _BATCH_POINTS // n) rows.
     """
     chunks = []
     lo = 0
     while lo < L:
         n = _fft_length(L - lo)
         end = L - n // 4
-        batch = max(1, (1 << 22) // n)
+        batch = max(1, _BATCH_POINTS // n)
         chunks.extend((a, min(a + batch, end)) for a in range(lo, end, batch))
         lo = end
     return chunks
@@ -273,7 +279,8 @@ def gowers_cyclic(values: np.ndarray, s: int) -> float:
     E_{x,h_1..h_s in Z_P} of the 2^s-fold product, then the 2^s-th root; the
     constant function 1 comes out exactly 1.  s=2 is sum_k |fhat(k)|^4 with
     the expectation-normalized DFT; s=3 averages the s=2 value of the cyclic
-    Delta_h f over h in Z_P (O(P^2 log P), guarded at P = 4096).
+    Delta_h f over h in Z_P (O(P^2 log P), guarded at P = 4096), its rows
+    run in batches of _BATCH_POINTS // P into one (P,) array and summed once.
     """
     _check_s(s)
     v = np.asarray(values)
@@ -290,11 +297,11 @@ def gowers_cyclic(values: np.ndarray, s: int) -> float:
         return float((_pow4_rows(v[None, :], P)[0] / P**3) ** 0.25)
     # row h is v * conj(v shifted cyclically by h): windows of the doubled period
     windows = sliding_window_view(np.conj(np.concatenate([v, v])), P)[:P]
-    acc = 0.0
-    block = max(1, (1 << 21) // P)
-    for lo in range(0, P, block):
-        acc += float(np.sum(_pow4_rows(v[None, :] * windows[lo : lo + block], P)))
-    return float((acc / P**4) ** (1.0 / 8.0))
+    per_h = np.empty(P)
+    batch = max(1, _BATCH_POINTS // P)
+    for lo in range(0, P, batch):
+        per_h[lo : lo + batch] = _pow4_rows(v[None, :] * windows[lo : lo + batch], P)
+    return float((float(np.sum(per_h)) / P**4) ** (1.0 / 8.0))
 
 
 def gowers_cyclic_bruteforce(values: np.ndarray, s: int) -> float:

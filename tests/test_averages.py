@@ -5,7 +5,7 @@ from math import log, sqrt
 import numpy as np
 import pytest
 
-from hbgowers import arith, averages, hb_model
+from hbgowers import arith, averages, gowers, hb_model
 from hbgowers.averages import bounded_random
 from hbgowers.calibration import INEQ_CONSTANTS, WW_SIGNS_BAND
 
@@ -19,6 +19,17 @@ def test_splitmix_reference_vector():
     out = averages.splitmix64(0, 3)
     assert [int(x) for x in out] == [
         0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+@pytest.mark.parametrize("shape", [1, 17, (4, 6), (64, 32)])
+def test_bounded_random_bytes(shape):
+    # the draws and the bytes of the straightforward expression, the oracle
+    for seed in (0, 1, 99):
+        rng = np.random.default_rng(seed)
+        old = (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)) / np.sqrt(2.0)
+        new = bounded_random(np.random.default_rng(seed), shape)
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
 
 
 def test_splitmix_seed_dependence():
@@ -294,6 +305,40 @@ def test_ineq_rtt_regression():
         g = bounded_random(rng, (2 * N, N))
         res = averages.ineq_rtt(f, w, g, N)
         assert res.lhs <= C * res.rhs * (1 + 1e-12), trial
+
+
+def _rtt_lhs_bruteforce(f, w, g_family, N):
+    """E_{x in [2N]} (E_{y in [N]} |E_n w(n) f(x-n) g_x(y-n)|^2)^2 as explicit sums."""
+    total = 0.0
+    for x in range(1, 2 * N + 1):
+        inner = 0.0
+        for y in range(1, N + 1):
+            s = sum(w[n - 1] * f[x - n - 1] * g_family[x - 1, y - n - 1]
+                    for n in range(1, N + 1) if 1 <= x - n <= N and 1 <= y - n <= N)
+            inner += abs(s / N) ** 2
+        total += (inner / N) ** 2
+    return total / (2 * N)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 16, 33])
+def test_ineq_rtt_matches_bruteforce(N):
+    rng = np.random.default_rng(200 + N)
+    f = bounded_random(rng, N)
+    g = bounded_random(rng, (2 * N, N))
+    for w in (rng.standard_normal(N), bounded_random(rng, N)):
+        res = averages.ineq_rtt(f, w, g, N)
+        assert res.lhs == pytest.approx(_rtt_lhs_bruteforce(f, w, g, N), rel=1e-12)
+
+
+@pytest.mark.parametrize("points", [1 << 10, 1 << 22])
+def test_ineq_rtt_batch_independent(monkeypatch, points):
+    # the rows run in batches of _BATCH_POINTS // size; the lhs must not notice
+    N = 100
+    rng = np.random.default_rng(8)
+    f, w, g = bounded_random(rng, N), bounded_random(rng, N), bounded_random(rng, (2 * N, N))
+    lhs = averages.ineq_rtt(f, w, g, N).lhs
+    monkeypatch.setattr(gowers, "_BATCH_POINTS", points)
+    assert averages.ineq_rtt(f, w, g, N).lhs == lhs
 
 
 def test_ineq_rtt_shape_guard():

@@ -83,6 +83,18 @@ def test_exit_two_bad_threads(tmp_path, capsys, monkeypatch, threads):
     assert "precondition: workers must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("N", ["0", "-1"])
+@pytest.mark.parametrize("verb", ["unorm", "ap", "ineq", "ww", "rtt"])
+def test_exit_two_bad_length(tmp_path, capsys, monkeypatch, verb, N):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(gowers, "ThreadPoolExecutor", no_pool)
+    assert run(tmp_path, verb, "--N", N) == 2
+    assert "precondition: --N must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("M", ["0", "-4"])
 def test_exit_two_bad_decay_length(tmp_path, capsys, M):
     assert run(tmp_path, "decay", "--qs", "2", "--M", M, "--mode", "interval") == 2

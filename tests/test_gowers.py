@@ -73,12 +73,27 @@ def test_u3_worker_determinism():
     r2 = gowers.gowers_u3_fast(f, workers=2)
     r4 = gowers.gowers_u3_fast(f, workers=4)
     assert r1 == r2 == r4  # bitwise
-    # at L = 3000 the first FFT-length bucket is cut into two batches;
-    # at L = 700 every bucket is a single batch
+    # the batches come from _u3_chunks(L) alone: at L = 700 the first
+    # FFT-length bucket (n = 2048) is cut into batches of 128 and 60 rows,
+    # at L = 3000 the first (n = 8192) into 29 batches of 32 and one of 24
     f = random_series(rng, 3000)
     r1 = gowers.gowers_u3_fast(f, workers=1)
     assert gowers.gowers_u3_fast(f, workers=2) == r1
     assert gowers.gowers_u3_fast(f, workers=3) == r1
+
+
+@pytest.mark.parametrize("points", [1 << 10, 1 << 22])
+def test_batch_budget_does_not_change_values(monkeypatch, points):
+    # every row kernel computes each row on its own, so the batch size set by
+    # _BATCH_POINTS moves the speed only
+    rng = np.random.default_rng(21)
+    series = [random_series(rng, L, real) for L in (700, 3000) for real in (True, False)]
+    cyclic = rng.standard_normal(840) + 1j * rng.standard_normal(840)
+    u3 = [gowers.gowers_u3_fast(f) for f in series]
+    cyc = gowers.gowers_cyclic(cyclic, 3)
+    monkeypatch.setattr(gowers, "_BATCH_POINTS", points)
+    assert [gowers.gowers_u3_fast(f) for f in series] == u3
+    assert gowers.gowers_cyclic(cyclic, 3) == cyc
 
 
 def test_workers_must_be_positive():
