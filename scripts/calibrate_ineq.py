@@ -26,6 +26,7 @@ moved.
 
 from __future__ import annotations
 
+import functools
 import sys
 from math import log, sqrt
 
@@ -84,55 +85,29 @@ def run_family(name, instances) -> float:
     return worst
 
 
-def sweep_u2(tables) -> float:
+def sweep(tables, name: str, seed: int, ineq, with_g: bool = False) -> float:
+    """Worst ratio of one inequality over the structured pairs and 250 random trials per N.
+
+    ``ineq`` is called as ineq(f, w, N), or ineq(f, g, w, N) when ``with_g``.
+    A random trial draws f, then g when ``with_g``, then w unless the trial
+    takes a structured weight (every third); a structured g is the
+    structured function after f.
+    """
     def gen():
-        rng = np.random.default_rng(101)
+        rng = np.random.default_rng(seed)
         for N in (8, 16, 32, 64):
             fs, ws = structured_functions(N), structured_weights(N, tables)
             for i, f in enumerate(fs):
+                g = (fs[(i + 1) % len(fs)],) if with_g else ()
                 for j, w in enumerate(ws):
-                    yield f"structured N={N} f#{i} w#{j}", averages.ineq_u2(f, w, N)
+                    yield f"structured N={N} f#{i} w#{j}", ineq(f, *g, w, N)
             for trial in range(250):
                 f = bounded_random(rng, N)
+                g = (bounded_random(rng, N),) if with_g else ()
                 w = ws[trial % len(ws)] if trial % 3 == 0 else bounded_random(rng, N)
-                yield f"random N={N} t={trial}", averages.ineq_u2(f, w, N)
+                yield f"random N={N} t={trial}", ineq(f, *g, w, N)
 
-    return run_family("u2", gen())
-
-
-def sweep_u3mod(tables) -> float:
-    def gen():
-        rng = np.random.default_rng(202)
-        for N in (8, 16, 32, 64):
-            fs, ws = structured_functions(N), structured_weights(N, tables)
-            for i, f in enumerate(fs):
-                for j, w in enumerate(ws):
-                    yield (f"structured N={N} f#{i} w#{j}",
-                           averages.ineq_u3_modulated(f, w, N, oversample=8))
-            for trial in range(250):
-                f = bounded_random(rng, N)
-                w = ws[trial % len(ws)] if trial % 3 == 0 else bounded_random(rng, N)
-                yield (f"random N={N} t={trial}",
-                       averages.ineq_u3_modulated(f, w, N, oversample=8))
-
-    return run_family("u3mod", gen())
-
-
-def sweep_u4conv(tables) -> float:
-    def gen():
-        rng = np.random.default_rng(303)
-        for N in (8, 16, 32, 64):
-            fs, ws = structured_functions(N), structured_weights(N, tables)
-            for i, f in enumerate(fs):
-                for j, w in enumerate(ws):
-                    yield (f"structured N={N} f#{i} w#{j}",
-                           averages.ineq_u4_convolution(f, w, N))
-            for trial in range(250):
-                f = bounded_random(rng, N)
-                w = ws[trial % len(ws)] if trial % 3 == 0 else bounded_random(rng, N)
-                yield f"random N={N} t={trial}", averages.ineq_u4_convolution(f, w, N)
-
-    return run_family("u4conv", gen())
+    return run_family(name, gen())
 
 
 def sweep_rtt(tables) -> float:
@@ -159,26 +134,6 @@ def sweep_rtt(tables) -> float:
                 yield f"random N={N} t={trial}", averages.ineq_rtt(f, w, g, N)
 
     return run_family("rtt", gen())
-
-
-def sweep_double(tables) -> float:
-    def gen():
-        rng = np.random.default_rng(505)
-        for N in (8, 16, 32, 64):
-            fs, ws = structured_functions(N), structured_weights(N, tables)
-            for i, f in enumerate(fs):
-                for j, w in enumerate(ws):
-                    g = fs[(i + 1) % len(fs)]
-                    yield (f"structured N={N} f#{i} w#{j}",
-                           averages.ineq_double_recurrence(f, g, w, N))
-            for trial in range(250):
-                f = bounded_random(rng, N)
-                g = bounded_random(rng, N)
-                w = ws[trial % len(ws)] if trial % 3 == 0 else bounded_random(rng, N)
-                yield (f"random N={N} t={trial}",
-                       averages.ineq_double_recurrence(f, g, w, N))
-
-    return run_family("double", gen())
 
 
 def sweep_transfer() -> float:
@@ -247,11 +202,12 @@ def sweep_cyclic_interval() -> float:
 def main() -> int:
     tables = arith.build_sieve(70)
     maxima = {
-        "u2": sweep_u2(tables),
-        "u3mod": sweep_u3mod(tables),
-        "u4conv": sweep_u4conv(tables),
+        "u2": sweep(tables, "u2", 101, averages.ineq_u2),
+        "u3mod": sweep(tables, "u3mod", 202,
+                       functools.partial(averages.ineq_u3_modulated, oversample=8)),
+        "u4conv": sweep(tables, "u4conv", 303, averages.ineq_u4_convolution),
         "rtt": sweep_rtt(tables),
-        "double": sweep_double(tables),
+        "double": sweep(tables, "double", 505, averages.ineq_double_recurrence, with_g=True),
     }
     maxima["transfer(u3mod at scale)"] = sweep_transfer()
     maxima["moment"] = sweep_moment()

@@ -241,7 +241,7 @@ class IneqResult:
 
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = len(a) + len(b) - 1
-    size = 1 << n.bit_length()
+    size = gowers._fft_length(n // 2 + 1)  # the power of two above n
     out = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:n]
     if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
         return out.real
@@ -277,6 +277,8 @@ def _shift_matrix(f: np.ndarray, N: int) -> np.ndarray:
     A strided view of one zero-padded copy of f: nothing of size 2N x N is
     allocated until a caller combines the rows with something.
     """
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     ext = np.zeros(3 * N - 1, dtype=f.dtype)  # ext[x - n + N - 1] = f(x - n)
     ext[N : 2 * N] = f[:N]
     return sliding_window_view(ext, N)[: 2 * N, ::-1]
@@ -288,31 +290,26 @@ def ineq_u3_modulated(f: np.ndarray, w: np.ndarray, N: int, *,
 
     The inner sup picks, for every x separately, the grid frequency
     maximizing |E_n w(n) f(x-n) e(n theta)| -- the worst theta(x) the bound
-    must absorb.  The rows go through the grid kernel in batches of
-    max(1, min(256, gowers._BATCH_POINTS // L)) rows, a size fixed by L
-    alone, reusing one set of buffers; the fourth powers are summed in fixed
-    blocks of 256 rows, so the value does not depend on the batch size.
+    must absorb.  The fourth powers are summed in fixed blocks of 256 rows,
+    so the value does not depend on the batch size.
     """
     if oversample < 2:
         raise ValueError(f"oversample must be >= 2, got {oversample}")
     f, w = np.asarray(f), np.asarray(w)
     L = oversample * N
-    batch = max(1, min(256, gowers._BATCH_POINTS // L))
-    pad = np.zeros((batch, L), dtype=complex)
+    u = _shift_matrix(f, N)
+    batches = gowers._batches(0, 2 * N, L)
+    pad = np.zeros((batches[0][1], L), dtype=complex)  # the first batch is the largest
     spec = np.empty_like(pad)
     mod = np.empty(pad.shape)
-    sup = np.empty(256)
-    u = _shift_matrix(f, N)
+    sup = np.empty(2 * N)
+    for a, b in batches:
+        np.multiply(u[a:b], w[:N], out=pad[: b - a, 1 : N + 1])
+        np.max(_grid_modulus(pad[: b - a], spec[: b - a], mod[: b - a]), axis=1,
+               out=sup[a:b])
     acc = 0.0
     for lo in range(0, 2 * N, 256):
-        hi = min(lo + 256, 2 * N)
-        for a in range(lo, hi, batch):
-            m = min(batch, hi - a)
-            np.multiply(u[a : a + m], w[:N], out=pad[:m, 1 : N + 1])
-            np.max(_grid_modulus(pad[:m], spec[:m], mod[:m]), axis=1,
-                   out=sup[a - lo : a - lo + m])
-        block = sup[: hi - lo] / N
-        acc += float(np.sum(block**4))
+        acc += float(np.sum((sup[lo : lo + 256] / N) ** 4))
     lhs = acc / (2 * N)
     return IneqResult("u3mod", N, lhs, _norm_pow(w[:N], N, 3, 4))
 
@@ -329,30 +326,29 @@ def ineq_rtt(f: np.ndarray, w: np.ndarray, g_family: np.ndarray, N: int) -> Ineq
     """Return-times control: E_x |E_y |E_n w(n) f(x-n) g_x(y-n)|^2|^2.
 
     ``g_family`` holds one 1-bounded row g_x per x in [2N] (shape (2N, N)).
-    The rows x go through reused (batch, size) spectrum buffers,
-    batch = max(1, gowers._BATCH_POINTS // size), a size fixed by N alone;
-    each row's inner average lands in a (2N,) array that is averaged once,
-    so the value does not depend on the batch size.
+    Each row's inner average lands in a (2N,) array that is averaged once, so
+    the value does not depend on the batch size.
     """
     f, w = np.asarray(f), np.asarray(w)
     g_family = np.asarray(g_family)
     if g_family.shape != (2 * N, N):
         raise ValueError(f"g_family must have shape (2N, N) = {(2 * N, N)}")
-    size = 1 << (2 * N - 1).bit_length()
-    batch = max(1, gowers._BATCH_POINTS // size)
     u = _shift_matrix(f, N)
-    rows = np.empty((batch, N), dtype=np.result_type(f, w))
-    U = np.empty((batch, size), dtype=complex)
+    size = gowers._fft_length(N)
+    batches = gowers._batches(0, 2 * N, size)
+    first = batches[0][1]  # rows of the first batch, the largest
+    rows = np.empty((first, N), dtype=np.result_type(f, w))
+    U = np.empty((first, size), dtype=complex)
     G = np.empty_like(U)
     inner = np.empty(2 * N)
-    for a in range(0, 2 * N, batch):
-        m = min(batch, 2 * N - a)
-        np.multiply(u[a : a + m], w[:N], out=rows[:m])  # rows u_x
+    for a, b in batches:
+        m = b - a
+        np.multiply(u[a:b], w[:N], out=rows[:m])  # rows u_x
         np.fft.fft(rows[:m], size, axis=1, out=U[:m])
-        np.fft.fft(g_family[a : a + m], size, axis=1, out=G[:m])
+        np.fft.fft(g_family[a:b], size, axis=1, out=G[:m])
         U[:m] *= G[:m]
         conv = np.fft.ifft(U[:m], axis=1, out=U[:m])  # index y-2 over y = 2..2N
-        inner[a : a + m] = np.sum(np.abs(conv[:, : N - 1] / N) ** 2, axis=1) / N  # y <= N
+        inner[a:b] = np.sum(np.abs(conv[:, : N - 1] / N) ** 2, axis=1) / N  # y <= N
     lhs = float(np.mean(inner**2))
     return IneqResult("rtt", N, lhs, _norm_pow(w[:N], N, 3, 4))
 

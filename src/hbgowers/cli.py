@@ -19,9 +19,9 @@ CSV cells are written with shortest-roundtrip float repr, so reruns with the
 same configuration are byte-identical; the append-only ``manifest.jsonl``
 carries timestamps, parameters and output digests.
 
-A startup micro-benchmark calibrates the cost model c * N^2 log N for the
-U^3 paths; work estimated over --budget-seconds is refused with exit code 3
-before any heavy allocation.
+The U^3 cost model sums n log2 n per shift over the kernel's own FFT-length
+buckets, scaled by a startup probe at L = 1024; work estimated over
+--budget-seconds is refused with exit code 3 before any heavy allocation.
 
 Each verb takes --config and --out-dir plus only the flags it reads; any other
 flag is refused by argparse with exit code 2.  --config reads the INI [sweep]
@@ -64,12 +64,17 @@ class BudgetExceeded(Exception):
 # cost model
 
 
+def _u3_work(N: int) -> float:
+    """FFT work of gowers_u3_fast at length N: sum of rows * n log2 n over its buckets."""
+    return sum((end - lo) * n * log2(n) for lo, end, n in gowers._u3_buckets(N))
+
+
 @functools.cache
 def _u3_coeff() -> float:
-    """Seconds per (N^2 log2 N) unit of U^3 work, micro-benchmarked once."""
-    probe = gowers.Series(np.random.default_rng(0).standard_normal(256))
-    best = min(_timed(lambda: gowers.gowers_u3_fast(probe)) for _ in range(2))
-    return best / (256.0**2 * log2(256))
+    """Seconds per unit of :func:`_u3_work`: the best of three L = 1024 runs, two warm."""
+    probe = gowers.Series(np.random.default_rng(0).standard_normal(1024))
+    best = min(_timed(lambda: gowers.gowers_u3_fast(probe)) for _ in range(3))
+    return best / _u3_work(1024)
 
 
 def _timed(fn) -> float:
@@ -79,7 +84,7 @@ def _timed(fn) -> float:
 
 
 def estimate_u3_seconds(N: int) -> float:
-    return _u3_coeff() * N * N * log2(max(N, 2))
+    return _u3_coeff() * _u3_work(N)
 
 
 def check_budget(estimate: float, budget: float, what: str) -> None:

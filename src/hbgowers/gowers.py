@@ -17,16 +17,15 @@ counted twice when the rows are real):
     * U^2 raw = sum_h |A_f(h)|^2 with A_f the autocorrelation; the kernel on
       the one row f, zero-padded to length n (exact Parseval identity once
       n >= 2L - 1).
-    * U^3 raw = sum_{h} U^2raw(Delta_h f), the kernel on batches of rows
-      Delta_h f.  Row h has L - h nonzero entries, so the shifts are bucketed
-      by n = _fft_length(L - h): each bucket's n still satisfies
-      n >= 2(L - h) - 1, so Parseval stays exact and only rounding depends
-      on the bucket.  The rows of a batch come from one strided multiply.
+    * U^3 raw = sum_{h} U^2raw(Delta_h f), the kernel on the rows Delta_h f
+      of :func:`_shift_rows`.  Row h has L - h nonzero entries, so the shifts
+      are bucketed by n = _fft_length(L - h) (:func:`_u3_buckets`); n still
+      satisfies n >= 2(L - h) - 1, so only rounding depends on the bucket.
     * the cyclic U^2 and U^3 norms, the kernel at n = P on f and on the
-      cyclic Delta_h f (the rows are windows of the doubled period).
-Every batch of rows holds about _BATCH_POINTS points whatever the length,
-and each row's value is computed on its own, so the batch size never moves
-a number.
+      cyclic Delta_h f, windows of the doubled period.
+Every row kernel, here and in averages, cuts its rows into batches of about
+_BATCH_POINTS points by the one rule :func:`_batches`; each row's value is
+computed on its own, so the batch size never moves a number.
 
 The brute-force evaluator walks the h-tuples of the definition literally and
 is the oracle the fast paths are tested against.
@@ -47,8 +46,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 _BRUTE_LEN_MAX = {1: 8192, 2: 2048, 3: 128}
-# points per batch of every FFT row kernel (here and in averages): about
-# 2-4 MB of spectrum, so each in-place pass over it stays in a per-core L2
+# points per batch of rows, read by _batches alone: 2-4 MB, a per-core L2
 _BATCH_POINTS = 1 << 18
 _CYCLIC_P_MAX = 4096
 _CYCLIC_BRUTE_P_MAX = 32
@@ -175,35 +173,37 @@ def gowers_u2_fast(f: Series) -> float:
     return float(_pow4_rows(f.values[None, :], _fft_length(L))[0])
 
 
-def _u3_row_batch(values: np.ndarray, conj_padded: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Per-h raw U^2 of Delta_h(values) for the shifts lo <= h < hi.
-
-    ``conj_padded`` is conj(values) followed by L zeros, so its length-W
-    window at h, W = L - lo, is conj(values[h:]) padded out to W.  Every row
-    is then Delta_h f on W points, in one strided multiply, and every h in
-    the batch shares the FFT length _fft_length(W).
-    """
-    W = values.shape[0] - lo
-    rows = values[None, :W] * sliding_window_view(conj_padded, W)[lo:hi]
-    return _pow4_rows(rows, _fft_length(W))
+def _batches(lo: int, hi: int, n: int) -> list[tuple[int, int]]:
+    """[lo, hi) cut into ranges [a, b) of max(1, _BATCH_POINTS // n) rows at most."""
+    batch = max(1, _BATCH_POINTS // n)
+    return [(a, min(a + batch, hi)) for a in range(lo, hi, batch)]
 
 
-def _u3_chunks(L: int) -> list[tuple[int, int]]:
-    """Shift ranges [lo, hi) of the U^3 batches, a function of L alone.
-
-    Shifts are bucketed by n = _fft_length(L - h): the bucket starting at lo
-    ends where L - h drops to n / 4, and is cut into batches of
-    max(1, _BATCH_POINTS // n) rows.
-    """
-    chunks = []
+def _u3_buckets(L: int) -> list[tuple[int, int, int]]:
+    """The O(log L) U^3 shift buckets (lo, end, n): n = _fft_length(L - h) on [lo, end)."""
+    buckets = []
     lo = 0
     while lo < L:
         n = _fft_length(L - lo)
-        end = L - n // 4
-        batch = max(1, _BATCH_POINTS // n)
-        chunks.extend((a, min(a + batch, end)) for a in range(lo, end, batch))
-        lo = end
-    return chunks
+        buckets.append((lo, L - n // 4, n))
+        lo = L - n // 4
+    return buckets
+
+
+def _u3_chunks(L: int) -> list[tuple[int, int]]:
+    """Shift ranges [lo, hi) of the U^3 batches: the buckets cut by :func:`_batches`."""
+    return [chunk for lo, end, n in _u3_buckets(L) for chunk in _batches(lo, end, n)]
+
+
+def _shift_rows(values: np.ndarray, conj_ext: np.ndarray, lo: int, hi: int,
+                W: int, n: int) -> np.ndarray:
+    """_pow4_rows at length n of the rows values[:W] * conj_ext[h : h + W], lo <= h < hi.
+
+    Delta_h f when conj_ext is conj(values) padded by L zeros and W = L - lo;
+    the cyclic Delta_h f when it is the conjugated doubled period and W = n = P.
+    """
+    rows = values[None, :W] * sliding_window_view(conj_ext, W)[lo:hi]
+    return _pow4_rows(rows, n)
 
 
 def _check_workers(workers: int) -> None:
@@ -233,7 +233,7 @@ def gowers_u3_fast(f: Series, workers: int = 1) -> float:
 
     def run(chunk: tuple[int, int]) -> None:
         lo, hi = chunk
-        per_h[lo:hi] = _u3_row_batch(values, conj_padded, lo, hi)
+        per_h[lo:hi] = _shift_rows(values, conj_padded, lo, hi, L - lo, _fft_length(L - lo))
 
     if workers == 1 or len(chunks) == 1:
         for chunk in chunks:
@@ -279,8 +279,7 @@ def gowers_cyclic(values: np.ndarray, s: int) -> float:
     E_{x,h_1..h_s in Z_P} of the 2^s-fold product, then the 2^s-th root; the
     constant function 1 comes out exactly 1.  s=2 is sum_k |fhat(k)|^4 with
     the expectation-normalized DFT; s=3 averages the s=2 value of the cyclic
-    Delta_h f over h in Z_P (O(P^2 log P), guarded at P = 4096), its rows
-    run in batches of _BATCH_POINTS // P into one (P,) array and summed once.
+    Delta_h f over h in Z_P (O(P^2 log P), guarded at P = 4096), summed once.
     """
     _check_s(s)
     v = np.asarray(values)
@@ -295,12 +294,10 @@ def gowers_cyclic(values: np.ndarray, s: int) -> float:
     # sum_j |fhat(j)|^4 with the expectation-normalized DFT is pow4 / P^3
     if s == 2:
         return float((_pow4_rows(v[None, :], P)[0] / P**3) ** 0.25)
-    # row h is v * conj(v shifted cyclically by h): windows of the doubled period
-    windows = sliding_window_view(np.conj(np.concatenate([v, v])), P)[:P]
+    conj_ext = np.conj(np.concatenate([v, v]))
     per_h = np.empty(P)
-    batch = max(1, _BATCH_POINTS // P)
-    for lo in range(0, P, batch):
-        per_h[lo : lo + batch] = _pow4_rows(v[None, :] * windows[lo : lo + batch], P)
+    for lo, hi in _batches(0, P, P):
+        per_h[lo:hi] = _shift_rows(v, conj_ext, lo, hi, P, P)
     return float((float(np.sum(per_h)) / P**4) ** (1.0 / 8.0))
 
 

@@ -122,6 +122,8 @@ def lambda_leq(T: int, N: int) -> Weight:
     _check_dyadic(T, "T")
     if T > _Q_MAX:
         raise ValueError(f"T={T} refused (T <= {_Q_MAX})")
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     out = np.zeros(N, dtype=np.float64)
     for Q in dyadic_blocks(T):
         out += lambda_Q(Q, N).values

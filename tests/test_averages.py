@@ -344,6 +344,11 @@ def test_ineq_rtt_batch_independent(monkeypatch, points):
 def test_ineq_rtt_shape_guard():
     with pytest.raises(ValueError):
         averages.ineq_rtt(np.ones(8), np.ones(8), np.ones((8, 8)), 8)
+    # an empty window has no rows to batch
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        averages.ineq_rtt(np.ones(0), np.ones(0), np.ones((0, 0)), 0)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        averages.ineq_u3_modulated(np.ones(0), np.ones(0), 0, oversample=8)
 
 
 def test_ineq_double_recurrence_regression():

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+from math import log2
 from pathlib import Path
 
 import pytest
@@ -131,12 +132,24 @@ def test_exit_two_bad_trials(tmp_path, capsys, trials):
 
 def test_exit_three_decay_budget(tmp_path, capsys):
     # the Q = 16 block weight has period 720720; the interval mode raises M to
-    # that period and the cost model must refuse it under the default budget
-    code = run(tmp_path, "decay", "--qs", "16", "--mode", "interval")
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "budget" in err and "720720" in err
-    assert not (tmp_path / "decay_interval.csv").exists()
+    # that period and the cost model must refuse it under the default budget.
+    # At Q = 32 the estimate sums O(log M) buckets, never M / batch batches
+    for Q, P in (("16", "720720"), ("32", "144403552893600")):
+        code = run(tmp_path, "decay", "--qs", Q, "--mode", "interval")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "budget" in err and P in err
+        assert not (tmp_path / "decay_interval.csv").exists()
+
+
+def test_u3_work_sums_the_chunks():
+    # the cost model prices the kernel's own plan: summing its buckets gives
+    # the same work as summing every batch the kernel runs
+    for L in [*range(1, 71), 700, 3000]:
+        chunks = gowers._u3_chunks(L)
+        n = [gowers._fft_length(L - lo) for lo, _ in chunks]
+        work = sum((hi - lo) * m * log2(m) for (lo, hi), m in zip(chunks, n))
+        assert cli._u3_work(L) == work, L
 
 
 def test_exit_three_unorm_budget(tmp_path, capsys):

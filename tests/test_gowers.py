@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbgowers import gowers
+from hbgowers import averages, gowers
+from hbgowers.averages import bounded_random
 from hbgowers.gowers import Series
 
 
@@ -91,9 +92,14 @@ def test_batch_budget_does_not_change_values(monkeypatch, points):
     cyclic = rng.standard_normal(840) + 1j * rng.standard_normal(840)
     u3 = [gowers.gowers_u3_fast(f) for f in series]
     cyc = gowers.gowers_cyclic(cyclic, 3)
+    # u3mod rows at sizes whose batches do not divide its 256-row blocks
+    u3mod = [(bounded_random(rng, N), bounded_random(rng, N), N, K)
+             for N, K in ((300, 8), (257, 3))]
+    lhs = [averages.ineq_u3_modulated(f, w, N, oversample=K).lhs for f, w, N, K in u3mod]
     monkeypatch.setattr(gowers, "_BATCH_POINTS", points)
     assert [gowers.gowers_u3_fast(f) for f in series] == u3
     assert gowers.gowers_cyclic(cyclic, 3) == cyc
+    assert [averages.ineq_u3_modulated(f, w, N, oversample=K).lhs for f, w, N, K in u3mod] == lhs
 
 
 def test_workers_must_be_positive():

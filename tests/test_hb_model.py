@@ -80,6 +80,8 @@ def test_lambda_leq_requires_dyadic_T():
         hb_model.lambda_leq(5, 10)
     with pytest.raises(ValueError):
         hb_model.lambda_leq(0, 10)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        hb_model.lambda_leq(4, -1)
 
 
 def test_lambda_leq_mean_near_one():
