@@ -177,7 +177,7 @@ def sweep_moment() -> float:
 
 def sweep_signs_band() -> float:
     N = 1 << 14
-    ones = hb_model.Weight("one", np.ones(N))
+    ones = hb_model.Weight(np.ones(N))
     scale = sqrt(log(N) / N)
     worst = 0.0
     for seed in range(1, 51):

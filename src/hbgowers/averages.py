@@ -65,7 +65,6 @@ class OrbitSequence:
     """Observable values f_1 .. f_N along one orbit."""
 
     values: np.ndarray
-    system: SystemDescriptor
 
     @property
     def length(self) -> int:
@@ -144,20 +143,16 @@ def orbit(system: SystemDescriptor, N: int) -> OrbitSequence:
     elif system.kind == "doubling":
         bits = 8 * ((N + 71) // 8)  # N + 64 rounded up to a byte boundary
         X = _doubling_fixed_point(system.params.get("x", "sqrt2"), bits)
-        # exact left alignment (bits is a multiple of 8) plus right padding
-        data = X.to_bytes(bits // 8, "big") + b"\x00" * 9
-        win = np.empty(N, dtype=np.uint64)
-        for n in range(1, N + 1):
-            k, r = n >> 3, n & 7
-            chunk = int.from_bytes(data[k : k + 9], "big")
-            win[n - 1] = (chunk >> (8 - r)) & 0xFFFFFFFFFFFFFFFF
+        # frac(2^n x) to 64 bits is the 64-bit window at bit n of X, MSB first
+        digits = np.unpackbits(np.frombuffer(X.to_bytes(bits // 8, "big"), np.uint8))
+        win = np.packbits(sliding_window_view(digits, 64)[1 : N + 1], axis=1).view(">u8")[:, 0]
         vals = np.exp(2j * np.pi * (win.astype(np.float64) / 2.0**64))
     elif system.kind == "signs":
         z = splitmix64(int(system.params["seed"]), N)
         vals = (1.0 - 2.0 * (z >> np.uint64(63)).astype(np.float64)).astype(complex)
     else:
         raise ValueError(f"unknown system kind {system.kind!r}")
-    return OrbitSequence(values=vals, system=system)
+    return OrbitSequence(values=vals)
 
 
 @dataclass

@@ -15,13 +15,14 @@ System grammar for --system / --system2:
     doubling:x=sqrt2       (also sqrt3, sqrt5, golden, p/q, or a float)
     signs:seed=7
 
-CSV cells are written with shortest-roundtrip float repr, so reruns with the
-same configuration are byte-identical; the append-only ``manifest.jsonl``
-carries timestamps, parameters and output digests.
+Verbs compute and main records: main alone writes the one CSV a verb returns
+(shortest-roundtrip float repr, so reruns are byte-identical) and appends its
+record (timestamps, parameters, stats, CSV digest) to ``manifest.jsonl``.
 
 The U^3 cost model sums n log2 n per shift over the kernel's own FFT-length
 buckets, scaled by a startup probe at L = 1024; work estimated over
---budget-seconds is refused with exit code 3 before any heavy allocation.
+--budget-seconds is refused with exit code 3 before any heavy allocation (a
+NaN budget, which no estimate exceeds, exits 2 before any work).
 
 Each verb takes --config and --out-dir plus only the flags it reads; any other
 flag is refused by argparse with exit code 2.  --config reads the INI [sweep]
@@ -41,9 +42,8 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from math import isfinite, log2, prod
+from math import isfinite, isnan, log2, prod
 from pathlib import Path
 
 import numpy as np
@@ -73,14 +73,12 @@ def _u3_work(N: int) -> float:
 def _u3_coeff() -> float:
     """Seconds per unit of :func:`_u3_work`: the best of three L = 1024 runs, two warm."""
     probe = gowers.Series(np.random.default_rng(0).standard_normal(1024))
-    best = min(_timed(lambda: gowers.gowers_u3_fast(probe)) for _ in range(3))
-    return best / _u3_work(1024)
-
-
-def _timed(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        gowers.gowers_u3_fast(probe)
+        times.append(time.perf_counter() - t0)
+    return min(times) / _u3_work(1024)
 
 
 def estimate_u3_seconds(N: int) -> float:
@@ -94,7 +92,7 @@ def check_budget(estimate: float, budget: float, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# config and manifest
+# config and CSV output
 
 
 def _int_list(text: str) -> list[int]:
@@ -113,31 +111,6 @@ def _read_config(path: str) -> dict:
     sec = parser["sweep"] if parser.has_section("sweep") else parser["DEFAULT"]
     values = {key: parse(sec[key]) for key, parse in _CONFIG_KEYS.items() if key in sec}
     return {key: value for key, value in values.items() if value not in ([], "")}
-
-
-@dataclass
-class RunManifest:
-    command: str
-    params: dict
-    started: str
-    finished: str = ""
-    duration_s: float = 0.0
-    outputs: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
-    version: str = ""
-
-    def add_output(self, path: Path) -> None:
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        rows = max(0, path.read_text().count("\n") - 1) if path.suffix == ".csv" else None
-        self.outputs.append({"path": str(path), "sha256": digest, "rows": rows})
-
-    def write(self, out_dir: Path) -> None:
-        from hbgowers import __version__
-
-        self.version = __version__
-        line = json.dumps(self.__dict__, sort_keys=True)
-        with open(out_dir / "manifest.jsonl", "a") as fh:
-            fh.write(line + "\n")
 
 
 def _fmt(x) -> str:
@@ -241,16 +214,16 @@ def parse_system(spec: str) -> averages.SystemDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# verbs
+# verbs: each returns its stats and (CSV file name, header, rows), or None
 
 
-def cmd_sieve(args) -> dict:
+def cmd_sieve(args) -> tuple[dict, tuple | None]:
     tables = _sieve_for(args.N, args.cache_dir)
     psi = float(tables.vonmangoldt[: args.N + 1].sum())
     n_primes = int(np.count_nonzero(
         tables.spf[2 : args.N + 1] == np.arange(2, args.N + 1)))
     print(f"sieve limit={args.N} primes={n_primes} psi={psi:.6f}")
-    return {"limit": args.N, "primes": n_primes, "psi": psi}
+    return {"limit": args.N, "primes": n_primes, "psi": psi}, None
 
 
 def _check_lengths(ns: list[int]) -> None:
@@ -258,23 +231,23 @@ def _check_lengths(ns: list[int]) -> None:
         raise Precondition("--N must be >= 1")
 
 
-def cmd_unorm(args) -> dict:
+def cmd_unorm(args) -> tuple[dict, tuple | None]:
     _check_lengths([args.N])
     w = parse_weight(args.weight, args.N, args.T, args.cache_dir)
     rows = []
     for s in args.s:
         if s == 3:
             check_budget(estimate_u3_seconds(args.N), args.budget_seconds, f"U^3 at N={args.N}")
-        res = gowers.gowers_normalized(gowers.Series(w.values, offset=w.start),
+        res = gowers.gowers_normalized(gowers.Series(w.values, offset=1),
                                        args.N, s, workers=args.threads)
         rows.append((s, args.N, res.raw, res.normalizer, res.normalized))
         print(f"unorm s={s} N={args.N} norm={res.normalized!r}")
-    out = Path(args.out_dir) / f"unorm_{args.weight.replace(':', '_').replace(',', '_')}_{args.N}.csv"
-    write_csv(out, ["s", "N", "raw", "normalizer", "normalized"], rows)
-    return {"csv": str(out), "norms": {str(r[0]): r[4] for r in rows}}
+    name = f"unorm_{args.weight.replace(':', '_').replace(',', '_')}_{args.N}.csv"
+    header = ["s", "N", "raw", "normalizer", "normalized"]
+    return {"norms": {str(r[0]): r[4] for r in rows}}, (name, header, rows)
 
 
-def cmd_ap(args) -> dict:
+def cmd_ap(args) -> tuple[dict, tuple | None]:
     if args.q < 1:
         raise Precondition("--q must be >= 1")
     _check_lengths([args.N])
@@ -292,13 +265,12 @@ def cmd_ap(args) -> dict:
         if main:
             worst = max(worst, rel)
         rows.append((args.q, a, s, main, err, rel))
-    out = Path(args.out_dir) / f"ap_q{args.q}_N{args.N}.csv"
-    write_csv(out, ["q", "a", "sum", "main_term", "error", "rel_error"], rows)
     print(f"ap q={args.q} N={args.N} worst_rel_error={worst!r}")
-    return {"csv": str(out), "worst_rel_error": worst}
+    header = ["q", "a", "sum", "main_term", "error", "rel_error"]
+    return {"worst_rel_error": worst}, (f"ap_q{args.q}_N{args.N}.csv", header, rows)
 
 
-def cmd_cube(args) -> dict:
+def cmd_cube(args) -> tuple[dict, tuple | None]:
     if args.mask is not None:
         masks = [args.mask]
         if not 0 <= args.mask < 256:
@@ -309,15 +281,13 @@ def cmd_cube(args) -> dict:
     for mask in masks:
         rows.append((mask, bin(mask).count("1"), int(cube.admissible(mask)),
                      cube.minimal_seed(mask)))
-    out = Path(args.out_dir) / ("cube_masks.csv" if len(masks) > 1
-                                else f"cube_mask_{masks[0]}.csv")
-    write_csv(out, ["mask", "size", "admissible", "min_seed"], rows)
+    name = "cube_masks.csv" if len(masks) > 1 else f"cube_mask_{masks[0]}.csv"
     n_adm = sum(r[2] for r in rows)
     print(f"cube masks={len(masks)} admissible={n_adm}")
-    return {"csv": str(out), "admissible": n_adm}
+    return {"admissible": n_adm}, (name, ["mask", "size", "admissible", "min_seed"], rows)
 
 
-def cmd_expect(args) -> dict:
+def cmd_expect(args) -> tuple[dict, tuple | None]:
     tuples: list[tuple[int, ...]] = []
     if args.qs:
         if len(args.qs) != 8:
@@ -335,15 +305,13 @@ def cmd_expect(args) -> dict:
         e = cube.ramanujan_cube_expectation(qs)
         rows.append((*qs, prod(qs), int(cube.rad4_divides(qs)), e,
                      cube.expectation_bound(qs)))
-    out = Path(args.out_dir) / f"expect_{len(tuples)}.csv"
-    write_csv(out, [f"q{i}" for i in range(1, 9)] + ["R", "rad4_divides", "expectation", "bound"],
-              rows)
+    header = [f"q{i}" for i in range(1, 9)] + ["R", "rad4_divides", "expectation", "bound"]
     n_zero = sum(1 for r in rows if r[10] == 0)
     print(f"expect tuples={len(tuples)} zero_expectation={n_zero}")
-    return {"csv": str(out), "tuples": len(tuples), "zero": n_zero}
+    return {"tuples": len(tuples), "zero": n_zero}, (f"expect_{len(tuples)}.csv", header, rows)
 
 
-def cmd_ineq(args) -> dict:
+def cmd_ineq(args) -> tuple[dict, tuple | None]:
     if args.trials < 1:
         raise Precondition("--trials must be >= 1")
     _check_lengths([args.N])
@@ -369,23 +337,21 @@ def cmd_ineq(args) -> dict:
                 res = averages.ineq_u4_convolution(f, w.values, args.N)
             elif name == "rtt":
                 res = averages.ineq_rtt(f, w.values, gx, args.N)
-            elif name == "double":
-                res = averages.ineq_double_recurrence(f, g, w.values, args.N)
             else:
-                raise Precondition(f"unknown inequality {name!r}")
+                res = averages.ineq_double_recurrence(f, g, w.values, args.N)
             bound = INEQ_CONSTANTS[name]
             ok = res.lhs <= bound * res.rhs * (1 + 1e-12)
             violations += 0 if ok else 1
             rows.append((name, args.N, trial, res.lhs, res.rhs, res.ratio))
-    out = Path(args.out_dir) / f"ineq_{args.name}_N{args.N}.csv"
-    write_csv(out, ["name", "N", "trial", "lhs", "rhs", "ratio"], rows)
     max_ratio = max((r[5] for r in rows), default=0.0)
     print(f"ineq name={args.name} trials={args.trials} violations={violations} "
           f"max_ratio={max_ratio!r}")
-    return {"csv": str(out), "violations": violations, "max_ratio": max_ratio}
+    header = ["name", "N", "trial", "lhs", "rhs", "ratio"]
+    return ({"violations": violations, "max_ratio": max_ratio},
+            (f"ineq_{args.name}_N{args.N}.csv", header, rows))
 
 
-def cmd_ww(args) -> dict:
+def cmd_ww(args) -> tuple[dict, tuple | None]:
     ns = args.ns or [args.N]
     _check_lengths(ns)
     system = parse_system(args.system)
@@ -397,12 +363,11 @@ def cmd_ww(args) -> dict:
         rows.append((N, res.theta_star, res.sup_modulus, res.grid_error_bound,
                      system.label(), args.weight))
         print(f"ww N={N} sup={res.sup_modulus!r} at theta={res.theta_star!r}")
-    out = Path(args.out_dir) / f"ww_{system.kind}.csv"
-    write_csv(out, ["N", "theta_star", "sup_modulus", "grid_error", "system", "weight"], rows)
-    return {"csv": str(out), "sup": rows[-1][2]}
+    header = ["N", "theta_star", "sup_modulus", "grid_error", "system", "weight"]
+    return {"sup": rows[-1][2]}, (f"ww_{system.kind}.csv", header, rows)
 
 
-def cmd_rtt(args) -> dict:
+def cmd_rtt(args) -> tuple[dict, tuple | None]:
     ns = args.ns or [args.N]
     _check_lengths(ns)
     sys_f = parse_system(args.system)
@@ -415,12 +380,11 @@ def cmd_rtt(args) -> dict:
         val = averages.rtt_average(w, f, g, N)
         rows.append((N, abs(val), sys_f.label(), sys_g.label(), args.weight))
         print(f"rtt N={N} modulus={abs(val)!r}")
-    out = Path(args.out_dir) / f"rtt_{sys_f.kind}_{sys_g.kind}.csv"
-    write_csv(out, ["N", "modulus", "system_f", "system_g", "weight"], rows)
-    return {"csv": str(out), "modulus": rows[-1][1]}
+    header = ["N", "modulus", "system_f", "system_g", "weight"]
+    return {"modulus": rows[-1][1]}, (f"rtt_{sys_f.kind}_{sys_g.kind}.csv", header, rows)
 
 
-def cmd_decay(args) -> dict:
+def cmd_decay(args) -> tuple[dict, tuple | None]:
     if args.M < 1:
         raise Precondition("--M must be >= 1")
     rows = []
@@ -445,8 +409,6 @@ def cmd_decay(args) -> dict:
                     f"cyclic mode at Q={Q} needs P_Q <= {gowers._CYCLIC_P_MAX}, got {P}")
             w = hb_model.lambda_Q(Q, P)
             rows.append((Q, P, "cyclic", gowers.gowers_cyclic(w.values, 3)))
-    out = Path(args.out_dir) / f"decay_{args.mode}.csv"
-    write_csv(out, ["Q", "M", "mode", "norm"], rows)
     stats = {"premise_m_ge_q20": premise} if premise else {}
     for mode in ("interval", "cyclic"):
         pts = [(log2(r[0]), np.log2(r[3])) for r in rows if r[2] == mode and r[3] > 0]
@@ -454,10 +416,10 @@ def cmd_decay(args) -> dict:
             slope = float(np.polyfit([p[0] for p in pts], [p[1] for p in pts], 1)[0])
             stats[f"slope_{mode}"] = slope
             print(f"decay mode={mode} fitted_log2_slope={slope:.4f}")
-    return {"csv": str(out), **stats}
+    return stats, (f"decay_{args.mode}.csv", ["Q", "M", "mode", "norm"], rows)
 
 
-def cmd_approx(args) -> dict:
+def cmd_approx(args) -> tuple[dict, tuple | None]:
     rows = []
     for N in args.ns:
         if N > 10**7:
@@ -475,12 +437,10 @@ def cmd_approx(args) -> dict:
             u3 = gowers.gowers_normalized(series, N, 3, workers=args.threads).normalized
         rows.append((N, Q, u2, u3))
         print(f"approx N={N} Q={Q} u2={u2!r}" + (f" u3={u3!r}" if u3 != "" else ""))
-    out = Path(args.out_dir) / "approx.csv"
-    write_csv(out, ["N", "Q", "u2", "u3"], rows)
     u2_seq = [r[2] for r in rows]
     monotone = all(a >= b for a, b in zip(u2_seq, u2_seq[1:]))
     print(f"approx u2_monotone_nonincreasing={monotone}")
-    return {"csv": str(out), "u2": u2_seq, "u2_monotone": monotone}
+    return {"u2": u2_seq, "u2_monotone": monotone}, ("approx.csv", ["N", "Q", "u2", "u3"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -568,27 +528,35 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    from hbgowers import __version__  # the package imports this module first
     args = build_parser().parse_args(argv)
     try:
         if args.config:
             for key, value in _read_config(args.config).items():
                 if key in vars(args) and not (key == "cache_dir" and args.cache_dir):
                     setattr(args, key, value)
+        if isnan(getattr(args, "budget_seconds", 0.0)):
+            raise Precondition("--budget-seconds must be a number, got nan")
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = RunManifest(
-            command=args.verb,
-            params={k: v for k, v in vars(args).items() if k != "verb"},
-            started=datetime.now(timezone.utc).isoformat(),
-        )
+        record = {"command": args.verb, "started": datetime.now(timezone.utc).isoformat(),
+                  "params": {k: v for k, v in vars(args).items() if k != "verb"}}
         t0 = time.perf_counter()
-        stats = _COMMANDS[args.verb](args)
-        manifest.duration_s = time.perf_counter() - t0
-        manifest.finished = datetime.now(timezone.utc).isoformat()
-        manifest.stats = stats
-        if isinstance(stats, dict) and "csv" in stats:
-            manifest.add_output(Path(stats["csv"]))
-        manifest.write(out_dir)
+        stats, table = _COMMANDS[args.verb](args)
+        outputs = []
+        if table is not None:
+            name, header, rows = table
+            path = out_dir / name
+            write_csv(path, header, rows)
+            data = path.read_bytes()
+            stats["csv"] = str(path)
+            outputs.append({"path": str(path), "sha256": hashlib.sha256(data).hexdigest(),
+                            "rows": data.count(b"\n") - 1})
+        record.update(duration_s=time.perf_counter() - t0,
+                      finished=datetime.now(timezone.utc).isoformat(),
+                      outputs=outputs, stats=stats, version=__version__)
+        with open(out_dir / "manifest.jsonl", "a") as fh:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
         return 0
     except (Precondition, ValueError) as exc:
         print(f"precondition: {exc}", file=sys.stderr)

@@ -47,11 +47,9 @@ _Q_MAX = 64  # period lcm fits comfortably; larger blocks are refused
 
 @dataclass
 class Weight:
-    """Real weight sequence w(n) for n = start .. start + len(values) - 1."""
+    """Real weight sequence w(n) for n = 1 .. len(values)."""
 
-    label: str
     values: np.ndarray
-    start: int = 1
 
     @property
     def length(self) -> int:
@@ -77,6 +75,11 @@ def _check_dyadic(Q: int, name: str = "Q") -> None:
         raise ValueError(f"{name} must be a power of two >= 1, got {Q}")
 
 
+def _check_length(N: int) -> None:
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+
+
 def block_range(Q: int) -> range:
     """Integers in the dyadic block (Q/2, Q]."""
     _check_dyadic(Q)
@@ -95,23 +98,26 @@ def lambda_Q(Q: int, N: int) -> Weight:
     """The block weight Lambda_Q on n = 1 .. N.
 
     Each q in the block contributes (mu(q)/phi(q)) c_q(n) through its exact
-    integer residue table; term order is fixed (q ascending), so values at n
-    and n + P_Q are bitwise equal.
+    integer residue table, scaled once per period and added in place period
+    by period; term order is fixed (q ascending), so values at n and n + P_Q
+    are bitwise equal.
     """
     _check_dyadic(Q)
     if Q > _Q_MAX:
         raise ValueError(f"block Q={Q} refused (Q <= {_Q_MAX})")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    n = np.arange(1, N + 1, dtype=np.int64)
+    _check_length(N)
     out = np.zeros(N, dtype=np.float64)
     for q in block_range(Q):
         mu = mobius_int(q)
         if mu == 0:
             continue
-        table = ramanujan_table(q).astype(np.float64)
-        out += (mu / totient_int(q)) * table[n % q]
-    return Weight(label=f"hb:Q={Q}", values=out)
+        # coef[i] is the term at n = i + 1 (mod q), since n starts at 1
+        coef = (mu / totient_int(q)) * np.roll(ramanujan_table(q).astype(np.float64), -1)
+        m = N - N % q
+        periods = out[:m].reshape(-1, q)  # a view: the sum lands in out
+        periods += coef
+        out[m:] += coef[: N - m]
+    return Weight(values=out)
 
 
 def lambda_leq(T: int, N: int) -> Weight:
@@ -122,17 +128,17 @@ def lambda_leq(T: int, N: int) -> Weight:
     _check_dyadic(T, "T")
     if T > _Q_MAX:
         raise ValueError(f"T={T} refused (T <= {_Q_MAX})")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    _check_length(N)
     out = np.zeros(N, dtype=np.float64)
     for Q in dyadic_blocks(T):
         out += lambda_Q(Q, N).values
-    return Weight(label=f"hbsum:T={T}", values=out)
+    return Weight(values=out)
 
 
 def lambda_leq_direct(T: int, N: int) -> np.ndarray:
     """Oracle path: sum_{q <= T} (mu(q)/phi(q)) c_q(n) without block structure."""
     _check_dyadic(T, "T")
+    _check_length(N)
     n = np.arange(1, N + 1, dtype=np.int64)
     out = np.zeros(N, dtype=np.float64)
     for q in range(1, T + 1):
@@ -173,6 +179,7 @@ def type1_coefficients(Q: int) -> dict[int, float]:
 
 def lambda_leq_type1(Q: int, N: int) -> np.ndarray:
     """Reconstruct Lambda_{<=Q} on [1, N] by divisor accumulation of alpha_d."""
+    _check_length(N)
     out = np.zeros(N + 1, dtype=np.float64)
     for d, alpha in type1_coefficients(Q).items():
         out[d::d] += alpha
@@ -181,25 +188,22 @@ def lambda_leq_type1(Q: int, N: int) -> np.ndarray:
 
 def twist(w: Weight, params: TwistParams) -> Weight:
     """w(n) -> w(n) (1 - n^{sigma - 1} chi_{q0}(n))."""
-    n = w.start + np.arange(w.length, dtype=np.float64)
-    chi = character_table(params.q0, w.start + w.length)[w.start :].astype(np.float64)
+    n = np.arange(1, w.length + 1, dtype=np.float64)
+    chi = character_table(params.q0, w.length + 1)[1:].astype(np.float64)
     factor = 1.0 - n ** (params.sigma - 1.0) * chi
-    return Weight(label=f"{w.label}|twist:q={params.q0},sigma={params.sigma}",
-                  values=w.values * factor, start=w.start)
+    return Weight(values=w.values * factor)
 
 
 def vonmangoldt_weight(tables: SieveTables, N: int) -> Weight:
     if N > tables.limit:
         raise ValueError(f"sieve limit {tables.limit} < N={N}")
-    return Weight(label="vonmangoldt", values=tables.vonmangoldt[1 : N + 1].copy())
+    return Weight(values=tables.vonmangoldt[1 : N + 1].copy())
 
 
 def ap_sum(w: Weight, a: int, q: int, n_prime: int) -> float:
     """sum_{n <= n_prime, n = a mod q} w(n); requires 1 <= a <= q."""
     if not 1 <= a <= q:
         raise ValueError(f"need 1 <= a <= q, got a={a}, q={q}")
-    if w.start != 1:
-        raise ValueError("ap_sum expects weights starting at n = 1")
     if n_prime > w.length:
         raise ValueError(f"n_prime={n_prime} exceeds weight length {w.length}")
     return float(w.values[a - 1 : n_prime : q].sum())

@@ -103,6 +103,19 @@ def test_doubling_float_seed():
     assert np.allclose(orbit.values, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("x", ["sqrt2", "sqrt3", "golden", "3/7", 0.375])
+def test_doubling_windows_exact(x):
+    # f_n = e(W_n / 2^64) with W_n the 64 bits of X after its first n, in exact ints
+    for N in (1, 8, 9, 65, 1000):
+        bits = 8 * ((N + 71) // 8)
+        X = averages._doubling_fixed_point(x, bits)
+        win = np.array([(X >> (bits - 64 - n)) & (2**64 - 1) for n in range(1, N + 1)],
+                       dtype=np.uint64)
+        expected = np.exp(2j * np.pi * (win.astype(np.float64) / 2.0**64))
+        got = averages.orbit(averages.doubling(x), N).values
+        assert got.tobytes() == expected.tobytes(), N
+
+
 def test_system_labels():
     assert "rotation" in averages.rotation(0.1, 0.0).label()
     assert "doubling" in averages.doubling("sqrt2").label()
@@ -142,11 +155,9 @@ def test_ww_sup_grid_consistency():
 def test_ww_sup_grid_on_grid_resonance_exact():
     N = 128
     L = 8 * N
-    ones = hb_model.Weight("one", np.ones(N))
+    ones = hb_model.Weight(np.ones(N))
     j0 = 11
-    f = averages.OrbitSequence(
-        np.exp(-2j * np.pi * (j0 / L) * np.arange(1, N + 1)),
-        averages.rotation(-j0 / L, 0.0))
+    f = averages.OrbitSequence(np.exp(-2j * np.pi * (j0 / L) * np.arange(1, N + 1)))
     res = averages.ww_sup_grid(ones, f, N, oversample=8)
     assert res.sup_modulus == pytest.approx(1.0, abs=1e-12)
     assert res.theta_star == pytest.approx(j0 / L, abs=1e-15)
@@ -154,7 +165,7 @@ def test_ww_sup_grid_on_grid_resonance_exact():
 
 def test_ww_grid_error_bound_shape():
     N = 64
-    ones = hb_model.Weight("one", np.ones(N))
+    ones = hb_model.Weight(np.ones(N))
     f = averages.orbit(averages.rotation(0.123, 0.0), N)
     res4 = averages.ww_sup_grid(ones, f, N, oversample=4)
     res8 = averages.ww_sup_grid(ones, f, N, oversample=8)
@@ -166,7 +177,7 @@ def test_ww_grid_error_bound_shape():
 
 def test_ww_sup_grid_guards():
     N = 16
-    ones = hb_model.Weight("one", np.ones(N))
+    ones = hb_model.Weight(np.ones(N))
     f = averages.orbit(averages.rotation(0.1, 0.0), N)
     with pytest.raises(ValueError):
         averages.ww_sup_grid(ones, f, N, oversample=1)
@@ -176,9 +187,8 @@ def test_ww_sup_grid_guards():
 
 def test_rtt_average_fixtures():
     N = 100
-    ones_w = hb_model.Weight("one", np.ones(N))
-    ones_f = averages.OrbitSequence(np.ones(N, dtype=complex),
-                                    averages.rotation(0.0, 0.0))
+    ones_w = hb_model.Weight(np.ones(N))
+    ones_f = averages.OrbitSequence(np.ones(N, dtype=complex))
     assert averages.rtt_average(ones_w, ones_f, ones_f, N) == pytest.approx(1.0)
 
 
@@ -392,7 +402,7 @@ def test_transfer_sup_grid_invariant():
 
 def test_signs_band_regression():
     N = 1 << 14
-    ones = hb_model.Weight("one", np.ones(N))
+    ones = hb_model.Weight(np.ones(N))
     scale = sqrt(log(N) / N)
     for seed in (1, 7, 23):
         f = averages.orbit(averages.random_signs(seed), N)

@@ -159,6 +159,19 @@ def test_exit_three_unorm_budget(tmp_path, capsys):
     assert "exceeds budget" in capsys.readouterr().err
 
 
+def test_exit_two_nan_budget(tmp_path, capsys):
+    # estimate > nan is False, so a NaN budget would pass every U^3 job;
+    # the flag and the config key are both refused before any work
+    assert run(tmp_path, "unorm", "--N", "64", "--s", "2", "--budget-seconds", "nan") == 2
+    assert "precondition: --budget-seconds must be a number, got nan" in capsys.readouterr().err
+    ini = tmp_path / "sweep.ini"
+    ini.write_text("[sweep]\nbudget_seconds = nan\n")
+    assert run(tmp_path, "unorm", "--N", "64", "--s", "2", "--config", str(ini)) == 2
+    assert "precondition: --budget-seconds must be a number, got nan" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    assert not (tmp_path / "manifest.jsonl").exists()
+
+
 def test_exit_two_decay_cyclic_guard(tmp_path, capsys):
     # cyclic mode is capped at period 4096, a precondition rather than a budget
     assert run(tmp_path, "decay", "--qs", "16", "--mode", "cyclic") == 2
@@ -212,6 +225,28 @@ def test_manifest_append_and_digest(tmp_path):
                                  ).read_bytes()).hexdigest()
         assert out["sha256"] == digest
         assert out["rows"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "sieve --N 100", "unorm --N 64 --s 2 --weight hb:Q=2", "ap --N 100 --q 3",
+    "cube --mask 255", "expect --qs 1,1,1,1,1,1,1,1", "ineq --name u2 --N 32 --trials 2",
+    "ww --N 64 --weight hb:Q=2", "rtt --N 64", "decay --qs 2 --mode cyclic",
+    "approx --ns 1000 --s 2",
+])
+def test_one_manifest_record_per_run(tmp_path, argv):
+    assert run(tmp_path, *argv.split()) == 0
+    [rec] = manifest_lines(tmp_path)
+    assert rec["command"] == argv.split()[0]
+    csvs = list(tmp_path.glob("*.csv"))
+    if argv.startswith("sieve"):
+        assert rec["outputs"] == [] and "csv" not in rec["stats"] and not csvs
+        return
+    [out] = rec["outputs"]
+    assert rec["stats"]["csv"] == out["path"]
+    assert csvs == [Path(out["path"])]
+    data = csvs[0].read_bytes()
+    assert out["rows"] == len(data.splitlines()) - 1
+    assert out["sha256"] == hashlib.sha256(data).hexdigest()
 
 
 def test_cube_single_mask_row(tmp_path):

@@ -53,6 +53,20 @@ def test_lambda_Q_exact_periodicity():
         assert np.array_equal(v[:P], v[2 * P : 3 * P])
 
 
+def test_lambda_Q_matches_residue_gather_bitwise():
+    # the per-period in-place sum gives the bits of the residue-table gather,
+    # also on a partial last period (N not divisible by q)
+    for Q in (1, 2, 4, 8, 16, 32, 64):
+        for N in (1, 2, 3, 64, 65, 1001):
+            n = np.arange(1, N + 1, dtype=np.int64)
+            gathered = np.zeros(N)
+            for q in hb_model.block_range(Q):
+                if arith.mobius_int(q) != 0:
+                    table = arith.ramanujan_table(q).astype(np.float64)
+                    gathered += (arith.mobius_int(q) / arith.totient_int(q)) * table[n % q]
+            assert hb_model.lambda_Q(Q, N).values.tobytes() == gathered.tobytes(), (Q, N)
+
+
 def test_lambda_Q_zero_mean_over_period():
     # each c_q with q > 1 sums to zero over a full period
     for Q in (2, 4, 8):
@@ -82,6 +96,11 @@ def test_lambda_leq_requires_dyadic_T():
         hb_model.lambda_leq(0, 10)
     with pytest.raises(ValueError, match="N must be >= 1"):
         hb_model.lambda_leq(4, -1)
+    # the two oracles refuse N < 1 the same way
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        hb_model.lambda_leq_type1(4, -1)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        hb_model.lambda_leq_direct(4, -1)
 
 
 def test_lambda_leq_mean_near_one():
