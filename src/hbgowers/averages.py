@@ -293,15 +293,15 @@ def ineq_u3_modulated(f: np.ndarray, w: np.ndarray, N: int, *,
     f, w = np.asarray(f), np.asarray(w)
     L = oversample * N
     u = _shift_matrix(f, N)
-    batches = gowers._batches(0, 2 * N, L)
-    pad = np.zeros((batches[0][1], L), dtype=complex)  # the first batch is the largest
+    pad = np.zeros((gowers._batches(0, 2 * N, L)[0][1], L), dtype=complex)  # the largest batch
     spec = np.empty_like(pad)
     mod = np.empty(pad.shape)
-    sup = np.empty(2 * N)
-    for a, b in batches:
+
+    def sup_rows(a: int, b: int, n: int) -> np.ndarray:
         np.multiply(u[a:b], w[:N], out=pad[: b - a, 1 : N + 1])
-        np.max(_grid_modulus(pad[: b - a], spec[: b - a], mod[: b - a]), axis=1,
-               out=sup[a:b])
+        return np.max(_grid_modulus(pad[: b - a], spec[: b - a], mod[: b - a]), axis=1)
+
+    sup = gowers._run_rows([(0, 2 * N, L)], sup_rows)
     acc = 0.0
     for lo in range(0, 2 * N, 256):
         acc += float(np.sum((sup[lo : lo + 256] / N) ** 4))
@@ -330,20 +330,21 @@ def ineq_rtt(f: np.ndarray, w: np.ndarray, g_family: np.ndarray, N: int) -> Ineq
         raise ValueError(f"g_family must have shape (2N, N) = {(2 * N, N)}")
     u = _shift_matrix(f, N)
     size = gowers._fft_length(N)
-    batches = gowers._batches(0, 2 * N, size)
-    first = batches[0][1]  # rows of the first batch, the largest
+    first = gowers._batches(0, 2 * N, size)[0][1]  # rows of the first batch, the largest
     rows = np.empty((first, N), dtype=np.result_type(f, w))
     U = np.empty((first, size), dtype=complex)
     G = np.empty_like(U)
-    inner = np.empty(2 * N)
-    for a, b in batches:
+
+    def inner_rows(a: int, b: int, n: int) -> np.ndarray:
         m = b - a
         np.multiply(u[a:b], w[:N], out=rows[:m])  # rows u_x
-        np.fft.fft(rows[:m], size, axis=1, out=U[:m])
-        np.fft.fft(g_family[a:b], size, axis=1, out=G[:m])
+        np.fft.fft(rows[:m], n, axis=1, out=U[:m])
+        np.fft.fft(g_family[a:b], n, axis=1, out=G[:m])
         U[:m] *= G[:m]
         conv = np.fft.ifft(U[:m], axis=1, out=U[:m])  # index y-2 over y = 2..2N
-        inner[a:b] = np.sum(np.abs(conv[:, : N - 1] / N) ** 2, axis=1) / N  # y <= N
+        return np.sum(np.abs(conv[:, : N - 1] / N) ** 2, axis=1) / N  # y <= N
+
+    inner = gowers._run_rows([(0, 2 * N, size)], inner_rows)
     lhs = float(np.mean(inner**2))
     return IneqResult("rtt", N, lhs, _norm_pow(w[:N], N, 3, 4))
 

@@ -22,7 +22,7 @@ record (timestamps, parameters, stats, CSV digest) to ``manifest.jsonl``.
 The U^3 cost model sums n log2 n per shift over the kernel's own FFT-length
 buckets, scaled by a startup probe at L = 1024; work estimated over
 --budget-seconds is refused with exit code 3 before any heavy allocation (a
-NaN budget, which no estimate exceeds, exits 2 before any work).
+budget that is NaN, infinite, zero or negative exits 2 before any work).
 
 Each verb takes --config and --out-dir plus only the flags it reads; any other
 flag is refused by argparse with exit code 2.  --config reads the INI [sweep]
@@ -535,8 +535,10 @@ def main(argv: list[str] | None = None) -> int:
             for key, value in _read_config(args.config).items():
                 if key in vars(args) and not (key == "cache_dir" and args.cache_dir):
                     setattr(args, key, value)
-        if isnan(getattr(args, "budget_seconds", 0.0)):
-            raise Precondition("--budget-seconds must be a number, got nan")
+        budget = getattr(args, "budget_seconds", 1.0)
+        if not (isfinite(budget) and budget > 0):
+            kind = "a number" if isnan(budget) else "positive and finite"
+            raise Precondition(f"--budget-seconds must be {kind}, got {budget}")
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         record = {"command": args.verb, "started": datetime.now(timezone.utc).isoformat(),

@@ -23,9 +23,10 @@ counted twice when the rows are real):
       satisfies n >= 2(L - h) - 1, so only rounding depends on the bucket.
     * the cyclic U^2 and U^3 norms, the kernel at n = P on f and on the
       cyclic Delta_h f, windows of the doubled period.
-Every row kernel, here and in averages, cuts its rows into batches of about
-_BATCH_POINTS points by the one rule :func:`_batches`; each row's value is
-computed on its own, so the batch size never moves a number.
+One driver, :func:`_run_rows`, runs every row kernel, here and in averages,
+over a plan of (lo, end, n) buckets, each cut by the one rule :func:`_batches`
+into batches of about _BATCH_POINTS points; each row's value is computed on
+its own, so the batch size and the thread count never move a number.
 
 The brute-force evaluator walks the h-tuples of the definition literally and
 is the oracle the fast paths are tested against.
@@ -77,18 +78,13 @@ class Series:
 class GowersResult:
     """Raw functional, 1_{[N]} normalizer, and the normalized norm value.
 
-    ``normalized`` is (raw / normalizer) ** (1 / 2^s); the pre-root ratio is
-    kept as :attr:`ratio`.
+    ``normalized`` is (raw / normalizer) ** (1 / 2^s).
     """
 
     s: int
     raw: float
     normalizer: float
     normalized: float
-
-    @property
-    def ratio(self) -> float:
-        return self.raw / self.normalizer
 
 
 def diff_op(f: Series, h: int) -> Series:
@@ -190,9 +186,23 @@ def _u3_buckets(L: int) -> list[tuple[int, int, int]]:
     return buckets
 
 
-def _u3_chunks(L: int) -> list[tuple[int, int]]:
-    """Shift ranges [lo, hi) of the U^3 batches: the buckets cut by :func:`_batches`."""
-    return [chunk for lo, end, n in _u3_buckets(L) for chunk in _batches(lo, end, n)]
+def _run_rows(plan: list[tuple[int, int, int]], rows_fn, workers: int = 1) -> np.ndarray:
+    """out[a:b] = rows_fn(a, b, n) for each batch [a, b) of each plan bucket (lo, end, n).
+
+    The buckets are cut by :func:`_batches` and out has the plan's last end
+    entries, so no value depends on ``workers``.  With workers > 1 and more than
+    one batch, rows_fn runs on a thread pool and must be thread-safe.
+    """
+    jobs = [(a, b, n) for lo, end, n in plan for a, b in _batches(lo, end, n)]
+    if workers == 1 or len(jobs) == 1:
+        values = (rows_fn(*job) for job in jobs)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            values = list(pool.map(lambda job: rows_fn(*job), jobs))
+    out = np.empty(plan[-1][1])
+    for (a, b, _), v in zip(jobs, values):
+        out[a:b] = v
+    return out
 
 
 def _shift_rows(values: np.ndarray, conj_ext: np.ndarray, lo: int, hi: int,
@@ -228,19 +238,8 @@ def gowers_u3_fast(f: Series, workers: int = 1) -> float:
     if not np.iscomplexobj(values):
         values = values.astype(np.float64)
     conj_padded = np.concatenate([np.conj(values), np.zeros(L, dtype=values.dtype)])
-    per_h = np.zeros(L, dtype=np.float64)
-    chunks = _u3_chunks(L)
-
-    def run(chunk: tuple[int, int]) -> None:
-        lo, hi = chunk
-        per_h[lo:hi] = _shift_rows(values, conj_padded, lo, hi, L - lo, _fft_length(L - lo))
-
-    if workers == 1 or len(chunks) == 1:
-        for chunk in chunks:
-            run(chunk)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, chunks))
+    per_h = _run_rows(_u3_buckets(L), lambda a, b, n: _shift_rows(
+        values, conj_padded, a, b, L - a, n), workers)
     return float(per_h[0] + 2.0 * np.sum(per_h[1:]))
 
 
@@ -295,9 +294,7 @@ def gowers_cyclic(values: np.ndarray, s: int) -> float:
     if s == 2:
         return float((_pow4_rows(v[None, :], P)[0] / P**3) ** 0.25)
     conj_ext = np.conj(np.concatenate([v, v]))
-    per_h = np.empty(P)
-    for lo, hi in _batches(0, P, P):
-        per_h[lo:hi] = _shift_rows(v, conj_ext, lo, hi, P, P)
+    per_h = _run_rows([(0, P, P)], lambda a, b, n: _shift_rows(v, conj_ext, a, b, P, n))
     return float((float(np.sum(per_h)) / P**4) ** (1.0 / 8.0))
 
 

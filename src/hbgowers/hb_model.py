@@ -172,17 +172,12 @@ def type1_coefficients_exact(Q: int) -> dict[int, Fraction]:
     return out
 
 
-def type1_coefficients(Q: int) -> dict[int, float]:
-    """alpha_d as floats; Lambda_{<=Q}(n) = sum_{d | n} alpha_d."""
-    return {d: float(a) for d, a in type1_coefficients_exact(Q).items()}
-
-
 def lambda_leq_type1(Q: int, N: int) -> np.ndarray:
-    """Reconstruct Lambda_{<=Q} on [1, N] by divisor accumulation of alpha_d."""
+    """Reconstruct Lambda_{<=Q}(n) = sum_{d | n} alpha_d on [1, N] from float alpha_d."""
     _check_length(N)
     out = np.zeros(N + 1, dtype=np.float64)
-    for d, alpha in type1_coefficients(Q).items():
-        out[d::d] += alpha
+    for d, alpha in type1_coefficients_exact(Q).items():
+        out[d::d] += float(alpha)
     return out[1:]
 
 

@@ -11,6 +11,7 @@ import sys
 from math import log2
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hbgowers
@@ -144,11 +145,16 @@ def test_exit_three_decay_budget(tmp_path, capsys):
 
 def test_u3_work_sums_the_chunks():
     # the cost model prices the kernel's own plan: summing its buckets gives
-    # the same work as summing every batch the kernel runs
+    # the same work as summing every batch the row driver runs on that plan
     for L in [*range(1, 71), 700, 3000]:
-        chunks = gowers._u3_chunks(L)
-        n = [gowers._fft_length(L - lo) for lo, _ in chunks]
-        work = sum((hi - lo) * m * log2(m) for (lo, hi), m in zip(chunks, n))
+        batches = []
+
+        def record(a, b, n):
+            batches.append((a, b, n))
+            return np.zeros(b - a)
+
+        gowers._run_rows(gowers._u3_buckets(L), record)
+        work = sum((b - a) * n * log2(n) for a, b, n in batches)
         assert cli._u3_work(L) == work, L
 
 
@@ -160,14 +166,21 @@ def test_exit_three_unorm_budget(tmp_path, capsys):
 
 
 def test_exit_two_nan_budget(tmp_path, capsys):
-    # estimate > nan is False, so a NaN budget would pass every U^3 job;
-    # the flag and the config key are both refused before any work
-    assert run(tmp_path, "unorm", "--N", "64", "--s", "2", "--budget-seconds", "nan") == 2
-    assert "precondition: --budget-seconds must be a number, got nan" in capsys.readouterr().err
+    # estimate > nan is False, so a NaN budget would pass every U^3 job, inf
+    # would switch the gate off and zero or less would refuse every U^3 job as
+    # over budget; the flag and the config key are both refused before any work
     ini = tmp_path / "sweep.ini"
-    ini.write_text("[sweep]\nbudget_seconds = nan\n")
-    assert run(tmp_path, "unorm", "--N", "64", "--s", "2", "--config", str(ini)) == 2
-    assert "precondition: --budget-seconds must be a number, got nan" in capsys.readouterr().err
+    for budget, message in (
+            ("nan", "precondition: --budget-seconds must be a number, got nan"),
+            ("inf", "precondition: --budget-seconds must be positive and finite, got inf"),
+            ("-1", "precondition: --budget-seconds must be positive and finite, got -1.0"),
+            ("0", "precondition: --budget-seconds must be positive and finite, got 0.0")):
+        for s in ("2", "3"):
+            assert run(tmp_path, "unorm", "--N", "64", "--s", s, "--budget-seconds", budget) == 2
+            assert message in capsys.readouterr().err
+        ini.write_text(f"[sweep]\nbudget_seconds = {budget}\n")
+        assert run(tmp_path, "unorm", "--N", "64", "--s", "2", "--config", str(ini)) == 2
+        assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
     assert not (tmp_path / "manifest.jsonl").exists()
 

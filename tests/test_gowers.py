@@ -74,7 +74,7 @@ def test_u3_worker_determinism():
     r2 = gowers.gowers_u3_fast(f, workers=2)
     r4 = gowers.gowers_u3_fast(f, workers=4)
     assert r1 == r2 == r4  # bitwise
-    # the batches come from _u3_chunks(L) alone: at L = 700 the first
+    # the batches come from the plan _u3_buckets(L) alone: at L = 700 the first
     # FFT-length bucket (n = 2048) is cut into batches of 128 and 60 rows,
     # at L = 3000 the first (n = 8192) into 29 batches of 32 and one of 24
     f = random_series(rng, 3000)
@@ -100,6 +100,24 @@ def test_batch_budget_does_not_change_values(monkeypatch, points):
     assert [gowers.gowers_u3_fast(f) for f in series] == u3
     assert gowers.gowers_cyclic(cyclic, 3) == cyc
     assert [averages.ineq_u3_modulated(f, w, N, oversample=K).lhs for f, w, N, K in u3mod] == lhs
+
+
+@pytest.mark.parametrize("points", [None, 1 << 10])
+def test_run_rows_writes_every_row_once(monkeypatch, points):
+    # a rows_fn that returns its row indices (or -1 where n is not the row's
+    # bucket length) gives 0, 1, ..., end - 1 only if every row of the plan is
+    # written exactly once, over uneven last batches and for any worker count
+    if points is not None:
+        monkeypatch.setattr(gowers, "_BATCH_POINTS", points)
+    for plan in (gowers._u3_buckets(700), gowers._u3_buckets(3000), [(0, 257, 3 * 257)]):
+        end = plan[-1][1]
+        bucket_n = np.concatenate([np.full(hi - lo, n) for lo, hi, n in plan])
+
+        def rows_fn(a, b, n):
+            return np.where(bucket_n[a:b] == n, np.arange(a, b), -1)
+
+        for workers in (1, 2, 3):
+            assert (gowers._run_rows(plan, rows_fn, workers) == np.arange(end)).all()
 
 
 def test_workers_must_be_positive():
@@ -142,7 +160,7 @@ def test_indicator_norm_is_exactly_one():
 def test_normalized_result_fields():
     res = gowers.gowers_normalized(Series(np.ones(4)), 4, 2)
     assert res.s == 2 and res.raw == res.normalizer
-    assert res.ratio == pytest.approx(1.0)
+    assert res.raw / res.normalizer == pytest.approx(1.0)
 
 
 def test_normalized_requires_support_in_N():
