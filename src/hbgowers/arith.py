@@ -17,7 +17,7 @@ multiplicativity in q for coprime moduli.
 Provides:
     build_sieve / save_sieve / load_sieve  -- dense mu/phi/Lambda/spf tables
     ramanujan_sum / ramanujan_sum_direct / ramanujan_table
-    factorize / divisors / rad / mobius_int / totient_int / is_squarefree
+    factorize ((p, e) pairs) / divisors / rad / mobius_int / totient_int / is_squarefree
     real_character / character_table  -- Jacobi symbol for odd squarefree modulus
 """
 
@@ -51,14 +51,6 @@ class SieveTables:
     totient: np.ndarray     # int64
     vonmangoldt: np.ndarray  # float64, log p at prime powers p^k
     spf: np.ndarray         # int64, smallest prime factor
-
-
-@dataclass
-class FactorList:
-    """Prime factorization of a single integer n = prod p_i^{e_i}."""
-
-    n: int
-    factors: list[tuple[int, int]]  # (p, e), p increasing
 
 
 def build_sieve(limit: int) -> SieveTables:
@@ -143,6 +135,8 @@ def load_sieve(path: str | Path) -> SieveTables:
     raw = path.read_bytes()
     if raw[:4] != _CACHE_MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 12:
+        raise ValueError(f"{path}: truncated header, {len(raw)} bytes")
     (limit,) = struct.unpack_from("<Q", raw, 4)
     count = limit + 1
     need = 4 + 8 + 4 * 8 * count
@@ -164,8 +158,8 @@ def load_sieve(path: str | Path) -> SieveTables:
                        vonmangoldt=vonmangoldt, spf=spf)
 
 
-def factorize(n: int) -> FactorList:
-    """Trial-division factorization of n >= 1."""
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Trial-division factorization of n >= 1: the pairs (p, e), p increasing."""
     if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
     out = []
@@ -181,26 +175,26 @@ def factorize(n: int) -> FactorList:
         p += 1 if p == 2 else 2
     if m > 1:
         out.append((m, 1))
-    return FactorList(n=n, factors=out)
+    return out
 
 
 def divisors(n: int) -> list[int]:
     """All divisors of n >= 1, ascending."""
     divs = [1]
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
 
 def rad(n: int) -> int:
     """Squarefree kernel prod_{p | n} p; rad(1) = 1."""
-    return prod(p for p, _ in factorize(n).factors)
+    return prod(p for p, _ in factorize(n))
 
 
 def mobius_int(n: int) -> int:
     """mu(n) for a single integer (no sieve)."""
     out = 1
-    for _, e in factorize(n).factors:
+    for _, e in factorize(n):
         if e > 1:
             return 0
         out = -out
@@ -210,13 +204,13 @@ def mobius_int(n: int) -> int:
 def totient_int(n: int) -> int:
     """phi(n) for a single integer (no sieve)."""
     out = n
-    for p, _ in factorize(n).factors:
+    for p, _ in factorize(n):
         out -= out // p
     return out
 
 
 def is_squarefree(n: int) -> bool:
-    return all(e == 1 for _, e in factorize(n).factors)
+    return all(e == 1 for _, e in factorize(n))
 
 
 def ramanujan_sum(q: int, n: int) -> int:

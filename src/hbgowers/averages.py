@@ -251,7 +251,7 @@ def _normalized(dtype: str, data: bytes, N: int, s: int) -> float:
     collision; one weight is normed once however many inequalities use it.
     """
     w = np.frombuffer(data, dtype=dtype).copy()
-    return gowers_normalized(Series(w, offset=1), N, s).normalized
+    return gowers_normalized(Series(w), N, s).normalized
 
 
 def _norm_pow(w: np.ndarray, N: int, s: int, power: int) -> float:

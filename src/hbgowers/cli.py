@@ -22,7 +22,8 @@ record (timestamps, parameters, stats, CSV digest) to ``manifest.jsonl``.
 The U^3 cost model sums n log2 n per shift over the kernel's own FFT-length
 buckets, scaled by a startup probe at L = 1024; work estimated over
 --budget-seconds is refused with exit code 3 before any heavy allocation (a
-budget that is NaN, infinite, zero or negative exits 2 before any work).
+budget that is NaN, infinite, zero or negative exits 2 before any work, as do
+--threads below 1 and --oversample below 2, from the flag or the config).
 
 Each verb takes --config and --out-dir plus only the flags it reads; any other
 flag is refused by argparse with exit code 2.  --config reads the INI [sweep]
@@ -88,7 +89,7 @@ def estimate_u3_seconds(N: int) -> float:
 def check_budget(estimate: float, budget: float, what: str) -> None:
     if estimate > budget:
         raise BudgetExceeded(
-            f"{what}: estimated {estimate:.1f}s exceeds budget {budget:.1f}s")
+            f"{what}: estimated {estimate:.3g}s exceeds budget {budget:.3g}s")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +239,7 @@ def cmd_unorm(args) -> tuple[dict, tuple | None]:
     for s in args.s:
         if s == 3:
             check_budget(estimate_u3_seconds(args.N), args.budget_seconds, f"U^3 at N={args.N}")
-        res = gowers.gowers_normalized(gowers.Series(w.values, offset=1),
+        res = gowers.gowers_normalized(gowers.Series(w.values),
                                        args.N, s, workers=args.threads)
         rows.append((s, args.N, res.raw, res.normalizer, res.normalized))
         print(f"unorm s={s} N={args.N} norm={res.normalized!r}")
@@ -429,7 +430,7 @@ def cmd_approx(args) -> tuple[dict, tuple | None]:
         Q = hb_model.q_schedule(N)
         tables = _sieve_for(N, args.cache_dir)
         diff = tables.vonmangoldt[1 : N + 1] - hb_model.lambda_leq(Q, N).values
-        series = gowers.Series(diff, offset=1)
+        series = gowers.Series(diff)
         u2 = gowers.gowers_normalized(series, N, 2).normalized
         u3 = ""
         if args.s == 3:
@@ -539,6 +540,10 @@ def main(argv: list[str] | None = None) -> int:
         if not (isfinite(budget) and budget > 0):
             kind = "a number" if isnan(budget) else "positive and finite"
             raise Precondition(f"--budget-seconds must be {kind}, got {budget}")
+        if getattr(args, "threads", 1) < 1:
+            raise Precondition(f"workers must be >= 1, got {args.threads}")
+        if getattr(args, "oversample", 2) < 2:
+            raise Precondition(f"oversample must be >= 2, got {args.oversample}")
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         record = {"command": args.verb, "started": datetime.now(timezone.utc).isoformat(),

@@ -41,12 +41,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import lcm, prod
 
 import numpy as np
 
-from hbgowers.arith import factorize, is_squarefree, rad, ramanujan_table, totient_int
+from hbgowers.arith import factorize, is_squarefree, rad, ramanujan_table
 
 # face (axis i in 1..3, side j in {1, 0}) -> bitmask of member vertices;
 # scan order fixes the deterministic greening run
@@ -88,10 +88,6 @@ class CubeTuple:
         for q in self.qs:
             if q < 1 or not is_squarefree(q):
                 raise ValueError(f"moduli must be squarefree >= 1, got {q}")
-
-
-def vertex(w1: int, w2: int, w3: int) -> int:
-    return w1 | (w2 << 1) | (w3 << 2)
 
 
 def admissible(marked: int) -> bool:
@@ -238,7 +234,7 @@ def ramanujan_cube_expectation(qs: tuple[int, ...]) -> int:
     """
     t = CubeTuple(qs=tuple(qs))
     out = 1
-    for p, _ in factorize(rad(prod(t.qs))).factors:
+    for p, _ in factorize(rad(prod(t.qs))):
         out *= count_numerators_exact(marked_set(t.qs, p), p)
         if out == 0:
             return 0
@@ -275,7 +271,7 @@ def expectation_bound(qs: tuple[int, ...]) -> int:
     R = prod(qs)
     if R == 1:
         return 1
-    fac = factorize(R).factors
+    fac = factorize(R)
     if any(e < 4 for _, e in fac):
         return 0
     return prod((p - 1) ** (e - 3) for p, e in fac)
@@ -284,20 +280,6 @@ def expectation_bound(qs: tuple[int, ...]) -> int:
 def rad4_divides(qs: tuple[int, ...]) -> bool:
     R = prod(qs)
     return R % rad(R) ** 4 == 0
-
-
-@dataclass
-class DiagonalDecomposition:
-    """Split of the raw U^3 functional of Lambda_Q 1_{[M]} by form integrality."""
-
-    Q: int
-    M: int
-    brute_total: float
-    diagonal_sum: float
-    nondiagonal_sum: float
-    diagonal_tuples: int
-    nondiagonal_tuples: int
-    nondiagonal_bound: float
 
 
 def interval_box_count(M: int, s: int = 3) -> int:
@@ -312,44 +294,3 @@ def interval_box_count(M: int, s: int = 3) -> int:
         assert num % 3 == 0
         return M * M + num // 3
     raise ValueError(f"s must be 1, 2 or 3, got {s}")
-
-
-def u3_diagonal_decomposition(Q: int, M: int) -> DiagonalDecomposition:
-    """Exact split of ||Lambda_Q 1_{[M]}||_{U^3}^8 into integral-form
-    (diagonal) and nonintegral-form (nondiagonal) tuple classes.
-
-    Expanding every c_q as an exponential sum writes the raw functional as a
-    sum over ((q_w), (a_w)) of prod mu(q_w)/phi(q_w) times a 4-fold
-    geometric sum; tuples with all forms integral contribute the box count
-    of [M] exactly, the rest are the complement against the brute-force
-    total and obey the O(M^3 Q^16) envelope.
-    """
-    from hbgowers.gowers import Series, gowers_raw_bruteforce
-    from hbgowers.hb_model import block_range, lambda_Q
-
-    if Q > 8:
-        raise ValueError(f"diagonal decomposition guarded at Q <= 8, got {Q}")
-    if M > 64:
-        raise ValueError(f"diagonal decomposition guarded at M <= 64, got {M}")
-    from hbgowers.arith import mobius_int
-
-    qs_pool = [q for q in block_range(Q) if mobius_int(q) != 0]
-    box = interval_box_count(M, 3)
-    diag_weighted = Fraction(0)
-    diag_tuples = 0
-    nondiag_tuples = 0
-    for qs in product(qs_pool, repeat=8):
-        coeff = prod(Fraction(mobius_int(q), totient_int(q)) for q in qs)
-        delta = ramanujan_cube_expectation(qs)
-        full = prod(totient_int(q) for q in qs)
-        diag_weighted += coeff * delta
-        diag_tuples += delta
-        nondiag_tuples += full - delta
-    diagonal = float(diag_weighted) * box
-    w = lambda_Q(Q, M)
-    brute = gowers_raw_bruteforce(Series(w.values, offset=1), 3)
-    return DiagonalDecomposition(
-        Q=Q, M=M, brute_total=brute, diagonal_sum=diagonal,
-        nondiagonal_sum=brute - diagonal, diagonal_tuples=diag_tuples,
-        nondiagonal_tuples=nondiag_tuples, nondiagonal_bound=float(M**3) * float(Q) ** 16,
-    )

@@ -51,15 +51,13 @@ _BRUTE_LEN_MAX = {1: 8192, 2: 2048, 3: 128}
 _BATCH_POINTS = 1 << 18
 _CYCLIC_P_MAX = 4096
 _CYCLIC_BRUTE_P_MAX = 32
-_GCS_LEN_MAX = 32
 
 
 @dataclass
 class Series:
-    """Finitely supported f: Z -> C; values[i] is f(offset + i)."""
+    """Finitely supported f: Z -> C; values[i] is f(1 + i)."""
 
     values: np.ndarray
-    offset: int = 1
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
@@ -89,15 +87,12 @@ class GowersResult:
 
 def diff_op(f: Series, h: int) -> Series:
     """Delta_h f(x) = f(x) * conj(f(x + h)); possibly empty when |h| >= length."""
-    L = f.length
-    if h >= 0:
-        if h >= L:
-            return Series(np.empty(0, dtype=complex), f.offset)
-        return Series(f.values[: L - h] * np.conj(f.values[h:]), f.offset)
-    k = -h
+    L, k = f.length, abs(h)
     if k >= L:
-        return Series(np.empty(0, dtype=complex), f.offset)
-    return Series(f.values[k:] * np.conj(f.values[: L - k]), f.offset + k)
+        return Series(np.empty(0, dtype=complex))
+    if h >= 0:
+        return Series(f.values[: L - k] * np.conj(f.values[k:]))
+    return Series(f.values[k:] * np.conj(f.values[: L - k]))
 
 
 def _check_s(s: int) -> None:
@@ -316,53 +311,3 @@ def gowers_cyclic_bruteforce(values: np.ndarray, s: int) -> float:
             prod = prod * term
         total += prod.sum()
     return float(max(total.real, 0.0) / P ** (s + 1)) ** (1.0 / (1 << s))
-
-
-def quadratic_phase(f: Series, alpha: float, beta: float, gamma: float = 0.0) -> Series:
-    """f(n) * e(alpha n^2 + beta n + gamma) on the same support."""
-    n = f.offset + np.arange(f.length, dtype=np.float64)
-    phase = np.exp(2j * np.pi * (alpha * n * n + beta * n + gamma))
-    return Series(f.values * phase, f.offset)
-
-
-def gcs_inner(family: list[Series], s: int) -> complex:
-    """Multilinear box inner product sum_{x,h} prod_w C^{|w|} f_w(x + w.h).
-
-    ``family`` lists the 2^s series indexed by the vertex w with
-    index = w_1 + 2 w_2 (+ 4 w_3).  Brute force; supports length <= 32.
-    The Cauchy-Schwarz bound |<(f_w)>| <= prod_w rawU^s(f_w)^{1/2^s} is the
-    property tests hold it to.
-    """
-    if s not in (2, 3):
-        raise ValueError(f"gcs_inner supports s in {{2, 3}}, got {s}")
-    if len(family) != (1 << s):
-        raise ValueError(f"need {1 << s} series for s={s}, got {len(family)}")
-    if any(f.length > _GCS_LEN_MAX for f in family):
-        raise ValueError(f"gcs_inner guarded at length <= {_GCS_LEN_MAX}")
-    if any(f.length == 0 for f in family):
-        return 0.0 + 0.0j
-    lo = min(f.offset for f in family)
-    hi = max(f.offset + f.length for f in family)
-    span = hi - lo
-    total = 0.0 + 0.0j
-    for tup in product(range(-span, span + 1), repeat=s):
-        # x must satisfy x + w.tup inside supp f_w for every vertex w
-        x_lo, x_hi = lo - 2 * span, hi + 2 * span
-        for w in range(1 << s):
-            shift = sum(tup[i] for i in range(s) if w >> i & 1)
-            f = family[w]
-            x_lo = max(x_lo, f.offset - shift)
-            x_hi = min(x_hi, f.offset + f.length - shift)
-        if x_lo >= x_hi:
-            continue
-        prod = np.ones(x_hi - x_lo, dtype=complex)
-        for w in range(1 << s):
-            shift = sum(tup[i] for i in range(s) if w >> i & 1)
-            f = family[w]
-            start = x_lo + shift - f.offset
-            seg = f.values[start : start + (x_hi - x_lo)]
-            if bin(w).count("1") % 2:
-                seg = np.conj(seg)
-            prod = prod * seg
-        total += prod.sum()
-    return complex(total)

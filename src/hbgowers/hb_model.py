@@ -20,8 +20,6 @@ Siegel-type twist multiplies a weight by (1 - n^{sigma-1} chi_{q0}(n)) with
 chi the Jacobi character; progression sums of the twisted part have the
 closed-form main term (1/phi(q)) chi(a) (N')^sigma / sigma on progressions
 a mod q with q0 | q and (a, q) = 1.
-
-Supporting exact identity: sum_{t | q} mu(t)^2 / phi(t) = q / phi(q).
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import numpy as np
 from hbgowers.arith import (
     SieveTables,
     character_table,
-    divisors,
     is_squarefree,
     mobius_int,
     ramanujan_table,
@@ -225,17 +222,6 @@ def ap_twisted_main_term(a: int, q: int, n_prime: int, params: TwistParams) -> f
 
     chi_a = real_character(params.q0, a)
     return chi_a * n_prime**params.sigma / (params.sigma * totient_int(q))
-
-
-def totient_divisor_identity(q: int) -> tuple[Fraction, Fraction]:
-    """Exact (sum_{t | q} mu(t)^2 / phi(t), q / phi(q)); the two are equal."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    lhs = Fraction(0)
-    for t in divisors(q):
-        if mobius_int(t) != 0:
-            lhs += Fraction(1, totient_int(t))
-    return lhs, Fraction(q, totient_int(q))
 
 
 def q_schedule(N: int) -> int:

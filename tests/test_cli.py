@@ -162,7 +162,7 @@ def test_exit_three_unorm_budget(tmp_path, capsys):
     code = run(tmp_path, "unorm", "--weight", "hb:Q=2", "--N", "4096",
                "--s", "3", "--budget-seconds", "0.000001")
     assert code == 3
-    assert "exceeds budget" in capsys.readouterr().err
+    assert "exceeds budget 1e-06s" in capsys.readouterr().err
 
 
 def test_exit_two_nan_budget(tmp_path, capsys):
@@ -181,6 +181,26 @@ def test_exit_two_nan_budget(tmp_path, capsys):
         ini.write_text(f"[sweep]\nbudget_seconds = {budget}\n")
         assert run(tmp_path, "unorm", "--N", "64", "--s", "2", "--config", str(ini)) == 2
         assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    assert not (tmp_path / "manifest.jsonl").exists()
+
+
+def test_exit_two_bad_threads_or_oversample(tmp_path, capsys, monkeypatch):
+    # every verb that takes --threads or --oversample refuses a bad value, from
+    # the flag or the config key, before any work: with the verb table emptied,
+    # reaching a verb would raise KeyError
+    monkeypatch.setattr(cli, "_COMMANDS", {})
+    ini = tmp_path / "sweep.ini"
+    for argv, key, value, message in (
+            ("decay --qs 2 --mode cyclic", "threads", "0", "workers must be >= 1, got 0"),
+            ("approx --ns 1000 --s 2", "threads", "0", "workers must be >= 1, got 0"),
+            ("unorm --N 64 --s 2", "threads", "-1", "workers must be >= 1, got -1"),
+            ("ineq --name u2 --N 16", "oversample", "1", "oversample must be >= 2, got 1"),
+            ("ww --N 64", "oversample", "0", "oversample must be >= 2, got 0")):
+        ini.write_text(f"[sweep]\n{key} = {value}\n")
+        for extra in ([f"--{key}", value], ["--config", str(ini)]):
+            assert run(tmp_path, *argv.split(), *extra) == 2
+            assert f"precondition: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
     assert not (tmp_path / "manifest.jsonl").exists()
 
@@ -391,6 +411,15 @@ def test_sieve_cache_opt_in(tmp_path):
     loaded = arith.load_sieve(path)
     assert loaded.limit == 5000
     assert run(tmp_path, "sieve", "--N", "5000", "--cache-dir", str(cache)) == 0
+
+
+def test_exit_two_truncated_sieve_cache(tmp_path, capsys):
+    # a cache file holding the magic but not the full 12-byte header
+    (tmp_path / "sieve_1000.hbg").write_bytes(b"HBG1\x00\x00")
+    cli._sieve_memo.clear()
+    assert run(tmp_path, "sieve", "--N", "1000", "--cache-dir", str(tmp_path)) == 2
+    assert "truncated header, 6 bytes" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.jsonl").exists()
 
 
 def test_no_cache_without_flag(tmp_path):

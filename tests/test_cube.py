@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbgowers import cube, gowers, hb_model
-from hbgowers.cube import VertexConfig, vertex
+from hbgowers.cube import VertexConfig
 
 
 def popcount(m: int) -> int:
@@ -18,14 +18,6 @@ def popcount(m: int) -> int:
 
 # ---------------------------------------------------------------------------
 # vertices, faces, admissibility
-
-
-def test_vertex_indexing():
-    assert vertex(0, 0, 0) == 0
-    assert vertex(1, 0, 0) == 1
-    assert vertex(0, 1, 0) == 2
-    assert vertex(0, 0, 1) == 4
-    assert vertex(1, 1, 1) == 7
 
 
 def test_faces_cover_each_vertex_three_times():
@@ -333,28 +325,7 @@ def test_interval_box_count_matches_normalizer():
 
 
 def test_diagonal_decomposition_Q2_collapses():
-    d = cube.u3_diagonal_decomposition(2, 16)
-    assert d.nondiagonal_tuples == 0
-    assert d.nondiagonal_sum == 0.0
-    assert d.brute_total == pytest.approx(22016.0)
-    assert d.diagonal_sum == pytest.approx(22016.0)
-
-
-def test_diagonal_decomposition_Q4_reconstructs_brute():
-    d = cube.u3_diagonal_decomposition(4, 24)
-    assert d.diagonal_sum + d.nondiagonal_sum == pytest.approx(
-        d.brute_total, rel=1e-9)
-    assert abs(d.nondiagonal_sum) <= d.nondiagonal_bound
-    assert d.nondiagonal_tuples > 0
-
-
-def test_diagonal_decomposition_envelope():
-    d = cube.u3_diagonal_decomposition(4, 16)
-    assert d.nondiagonal_bound == 16**3 * 4**16
-
-
-def test_diagonal_decomposition_guards():
-    with pytest.raises(ValueError):
-        cube.u3_diagonal_decomposition(16, 16)
-    with pytest.raises(ValueError):
-        cube.u3_diagonal_decomposition(4, 1000)
+    # Lambda_2(n) = (-1)^n is a unimodular linear phase on [16], so every tuple
+    # is diagonal and the brute-force raw U^3 value is the box count of [16]
+    raw = gowers.gowers_raw_bruteforce(gowers.Series(hb_model.lambda_Q(2, 16).values), 3)
+    assert raw == cube.interval_box_count(16, 3) == 22016

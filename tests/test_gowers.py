@@ -16,6 +16,12 @@ def random_series(rng, L, real=False):
     return Series(rng.standard_normal(L) + 1j * rng.standard_normal(L))
 
 
+def _phase(f, alpha, beta, gamma):
+    """f(n) e(alpha n^2 + beta n + gamma) on the support n = 1..L of f."""
+    n = np.arange(1, f.length + 1, dtype=np.float64)
+    return Series(f.values * np.exp(2j * np.pi * (alpha * n * n + beta * n + gamma)))
+
+
 # ---------------------------------------------------------------------------
 # raw functionals
 
@@ -129,16 +135,6 @@ def test_workers_must_be_positive():
             gowers.gowers_normalized(f, 8, 2, workers=workers)
 
 
-def test_offset_does_not_change_raw():
-    # the raw functional is translation invariant by construction
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-    for s in (1, 2, 3):
-        a = gowers.gowers_raw_bruteforce(Series(v, offset=1), s)
-        b = gowers.gowers_raw_bruteforce(Series(v, offset=101), s)
-        assert a == pytest.approx(b, rel=1e-12)
-
-
 def test_brute_guards():
     with pytest.raises(ValueError):
         gowers.gowers_raw_bruteforce(Series(np.ones(200)), 3)
@@ -185,7 +181,7 @@ def test_quadratic_phase_invariance():
         L = int(rng.integers(2, 40))
         f = random_series(rng, L)
         alpha, beta, gamma = rng.uniform(0, 1, 3)
-        g = gowers.quadratic_phase(f, alpha, beta, gamma)
+        g = _phase(f, alpha, beta, gamma)
         a = gowers.gowers_u3_fast(f)
         b = gowers.gowers_u3_fast(g)
         assert b == pytest.approx(a, rel=1e-8)
@@ -194,7 +190,7 @@ def test_quadratic_phase_invariance():
 def test_linear_phase_invariance_u2():
     rng = np.random.default_rng(8)
     f = random_series(rng, 50)
-    g = gowers.quadratic_phase(f, 0.0, 0.377, 0.1)
+    g = _phase(f, 0.0, 0.377, 0.1)
     assert gowers.gowers_u2_fast(g) == pytest.approx(
         gowers.gowers_u2_fast(f), rel=1e-9)
 
@@ -223,29 +219,6 @@ def test_triangle_inequality():
             b = gowers.gowers_normalized(f, L, s).normalized
             c = gowers.gowers_normalized(g, L, s).normalized
             assert a <= b + c + 1e-9
-
-
-def test_cauchy_schwarz_box_bound():
-    # |<f_w>| <= prod ||f_w||, with the inner product taken raw and the
-    # norms raw^(1/2^s) on the same ambient window
-    rng = np.random.default_rng(11)
-    for s in (2, 3):
-        k = 1 << s
-        fam = [random_series(rng, 12) for _ in range(k)]
-        inner = abs(gowers.gcs_inner(fam, s))
-        prod = 1.0
-        for f in fam:
-            prod *= gowers.gowers_raw_bruteforce(f, s) ** (1.0 / k)
-        assert inner <= prod * (1 + 1e-8)
-
-
-def test_gcs_diagonal_equals_raw():
-    rng = np.random.default_rng(12)
-    for s in (2, 3):
-        f = random_series(rng, 9)
-        fam = [f for _ in range(1 << s)]
-        assert abs(gowers.gcs_inner(fam, s)
-                   - gowers.gowers_raw_bruteforce(f, s)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
