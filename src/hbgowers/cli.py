@@ -22,8 +22,8 @@ record (timestamps, parameters, stats, CSV digest) to ``manifest.jsonl``.
 The U^3 cost model sums n log2 n per shift over the kernel's own FFT-length
 buckets, scaled by a startup probe at L = 1024; work estimated over
 --budget-seconds is refused with exit code 3 before any heavy allocation (a
-budget that is NaN, infinite, zero or negative exits 2 before any work, as do
---threads below 1 and --oversample below 2, from the flag or the config).
+budget that is NaN, infinite, zero or negative, or --threads below 1, by flag
+or config, exits 2 before any work; --oversample below 2 exits 2 as well).
 
 Each verb takes --config and --out-dir plus only the flags it reads; any other
 flag is refused by argparse with exit code 2.  --config reads the INI [sweep]
@@ -313,6 +313,8 @@ def cmd_expect(args) -> tuple[dict, tuple | None]:
 
 
 def cmd_ineq(args) -> tuple[dict, tuple | None]:
+    if args.oversample < 2:
+        raise Precondition(f"oversample must be >= 2, got {args.oversample}")
     if args.trials < 1:
         raise Precondition("--trials must be >= 1")
     _check_lengths([args.N])
@@ -542,8 +544,6 @@ def main(argv: list[str] | None = None) -> int:
             raise Precondition(f"--budget-seconds must be {kind}, got {budget}")
         if getattr(args, "threads", 1) < 1:
             raise Precondition(f"workers must be >= 1, got {args.threads}")
-        if getattr(args, "oversample", 2) < 2:
-            raise Precondition(f"oversample must be >= 2, got {args.oversample}")
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         record = {"command": args.verb, "started": datetime.now(timezone.utc).isoformat(),

@@ -186,17 +186,16 @@ def test_exit_two_nan_budget(tmp_path, capsys):
 
 
 def test_exit_two_bad_threads_or_oversample(tmp_path, capsys, monkeypatch):
-    # every verb that takes --threads or --oversample refuses a bad value, from
-    # the flag or the config key, before any work: with the verb table emptied,
-    # reaching a verb would raise KeyError
-    monkeypatch.setattr(cli, "_COMMANDS", {})
-    ini = tmp_path / "sweep.ini"
+    # a bad --threads or --oversample exits 2, by flag or config key, with no CSV
+    # or manifest; main refuses threads before any verb (an empty table: KeyError)
+    ini, commands = tmp_path / "sweep.ini", cli._COMMANDS
     for argv, key, value, message in (
             ("decay --qs 2 --mode cyclic", "threads", "0", "workers must be >= 1, got 0"),
             ("approx --ns 1000 --s 2", "threads", "0", "workers must be >= 1, got 0"),
             ("unorm --N 64 --s 2", "threads", "-1", "workers must be >= 1, got -1"),
             ("ineq --name u2 --N 16", "oversample", "1", "oversample must be >= 2, got 1"),
             ("ww --N 64", "oversample", "0", "oversample must be >= 2, got 0")):
+        monkeypatch.setattr(cli, "_COMMANDS", {} if key == "threads" else commands)
         ini.write_text(f"[sweep]\n{key} = {value}\n")
         for extra in ([f"--{key}", value], ["--config", str(ini)]):
             assert run(tmp_path, *argv.split(), *extra) == 2

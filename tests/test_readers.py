@@ -35,7 +35,8 @@ def _reads(tree: ast.Module) -> set[str]:
 
 def test_every_public_name_has_a_reader():
     sources = [*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").glob("*.py"),
-               *(ROOT / "perfbench").glob("*.py")]
+               *(p for p in (ROOT / "perfbench").glob("*.py")
+                 if not p.name.startswith("test_"))]
     reads = set().union(*(_reads(ast.parse(p.read_text())) for p in sources))
     unread = [f"{path.stem}.{node.name}"
               for path in sorted((ROOT / "src" / "hbgowers").glob("*.py"))
