@@ -137,7 +137,7 @@ def sweep_rtt(tables) -> float:
 
 
 def sweep_transfer() -> float:
-    """Weight = Lambda - Lambda_{<=Q_N} against the shipped systems; same C3."""
+    """The weight Lambda - Lambda_{<=Q_N} against the shipped systems; same C3."""
     worst = 0.0
     for N in (1 << 12, 1 << 13, 1 << 14):
         tables = arith.build_sieve(N)
@@ -177,7 +177,7 @@ def sweep_moment() -> float:
 
 def sweep_signs_band() -> float:
     N = 1 << 14
-    ones = hb_model.Weight(np.ones(N))
+    ones = gowers.Series(np.ones(N))
     scale = sqrt(log(N) / N)
     worst = 0.0
     for seed in range(1, 51):
@@ -191,7 +191,7 @@ def sweep_signs_band() -> float:
 def sweep_cyclic_interval() -> float:
     N = 50 * hb_model.hb_period(4)
     w = hb_model.lambda_Q(4, N)
-    interval = gowers.gowers_normalized(gowers.Series(w.values), N, 3).normalized
+    interval = gowers.gowers_normalized(w, N, 3).normalized
     cyclic = gowers.gowers_cyclic(hb_model.lambda_Q(4, 12).values, 3)
     rel = abs(interval - cyclic) / cyclic
     print(f"cyclic vs interval (Lambda_4, N = 50 P_4): interval {interval!r}, "

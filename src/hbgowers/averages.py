@@ -1,8 +1,10 @@
 """Weighted averages along orbits and the U^s transfer inequalities.
 
-Orbits are finite sequences (f_n)_{n <= N} from three shipped systems:
+Orbits are finite sequences (f_n)_{n <= N}, each a gowers.Series like the
+weights, from three shipped systems:
 
-    rotation(alpha, x):  f_n = e(x + n alpha)
+    rotation(alpha, x):  f_n = e(x + n alpha), alpha a float or one of the
+                         names sqrt2, sqrt3, sqrt5, golden (taken mod 1)
     doubling(x):         f_n = e(frac(2^n x)), with x held as an exact
                          fixed-point integer of N + 64 fractional bits so the
                          shift never runs out of digits (iterating 2x mod 1
@@ -34,18 +36,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isqrt
+from math import isfinite, isqrt
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from hbgowers import gowers
 from hbgowers.gowers import Series, gowers_normalized
-from hbgowers.hb_model import Weight
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+
+# rotation angles by name; doubling seeds take the same names as exact
+# fixed-point values, which differ from these floats in the last bits
+_NAMED_IRRATIONALS = {
+    "sqrt2": 2.0**0.5, "sqrt3": 3.0**0.5, "sqrt5": 5.0**0.5,
+    "golden": (5.0**0.5 - 1.0) / 2.0,
+}
 
 
 @dataclass
@@ -60,18 +68,13 @@ class SystemDescriptor:
         return f"{self.kind}:{inner}"
 
 
-@dataclass
-class OrbitSequence:
-    """Observable values f_1 .. f_N along one orbit."""
-
-    values: np.ndarray
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[0]
-
-
-def rotation(alpha: float, x: float = 0.0) -> SystemDescriptor:
+def rotation(alpha: str | float, x: float = 0.0) -> SystemDescriptor:
+    """Rotation by alpha: a float, or sqrt2, sqrt3, sqrt5 or golden reduced mod 1."""
+    named = _NAMED_IRRATIONALS.get(alpha)
+    alpha = float(alpha) if named is None else named % 1.0
+    x = float(x)
+    if not (isfinite(alpha) and isfinite(x)):
+        raise ValueError("alpha and x must be finite")
     return SystemDescriptor(kind="rotation", params={"alpha": alpha, "x": x})
 
 
@@ -131,7 +134,7 @@ def _doubling_fixed_point(x: str | float, bits: int) -> int:
     return int(frac * (1 << 53)) << (bits - 53)
 
 
-def orbit(system: SystemDescriptor, N: int) -> OrbitSequence:
+def orbit(system: SystemDescriptor, N: int) -> Series:
     """Evaluate the observable along the first N orbit points."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -152,21 +155,19 @@ def orbit(system: SystemDescriptor, N: int) -> OrbitSequence:
         vals = (1.0 - 2.0 * (z >> np.uint64(63)).astype(np.float64)).astype(complex)
     else:
         raise ValueError(f"unknown system kind {system.kind!r}")
-    return OrbitSequence(values=vals)
+    return Series(vals)
 
 
 @dataclass
 class WWResult:
     """Grid supremum of the modulated average and its location."""
 
-    N: int
-    oversample: int
     theta_star: float
     sup_modulus: float
     grid_error_bound: float
 
 
-def ww_average(w: Weight, f: OrbitSequence, theta: float, N: int) -> complex:
+def ww_average(w: Series, f: Series, theta: float, N: int) -> complex:
     """E_{n <= N} w(n) e(n theta) f_n."""
     if N > w.length or N > f.length:
         raise ValueError(f"need weight and orbit of length >= N={N}")
@@ -188,7 +189,7 @@ def _grid_modulus(pad: np.ndarray, spec: np.ndarray, mod: np.ndarray) -> np.ndar
     return np.abs(spec, out=mod)
 
 
-def ww_sup_grid(w: Weight, f: OrbitSequence, N: int, oversample: int = 8) -> WWResult:
+def ww_sup_grid(w: Series, f: Series, N: int, oversample: int = 8) -> WWResult:
     """Max over theta_j = j/(KN) of |E_{n<=N} w(n) e(n theta_j) f_n|.
 
     One inverse FFT of length K N evaluates every grid frequency; K >= 2
@@ -206,12 +207,11 @@ def ww_sup_grid(w: Weight, f: OrbitSequence, N: int, oversample: int = 8) -> WWR
     j_star = int(np.argmax(mods))
     n = np.arange(1, N + 1, dtype=np.float64)
     lip = 2.0 * np.pi * float(np.sum(n * np.abs(x))) / N
-    return WWResult(N=N, oversample=oversample, theta_star=j_star / L,
-                    sup_modulus=float(mods[j_star]),
+    return WWResult(theta_star=j_star / L, sup_modulus=float(mods[j_star]),
                     grid_error_bound=lip / (2.0 * L))
 
 
-def rtt_average(w: Weight, f: OrbitSequence, g: OrbitSequence, N: int) -> complex:
+def rtt_average(w: Series, f: Series, g: Series, N: int) -> complex:
     """Finite return-times pairing E_{n <= N} w(n) f_n g_n of two orbits."""
     if N > w.length or N > f.length or N > g.length:
         raise ValueError(f"need weight and both orbits of length >= N={N}")
@@ -224,8 +224,6 @@ def rtt_average(w: Weight, f: OrbitSequence, g: OrbitSequence, N: int) -> comple
 
 @dataclass
 class IneqResult:
-    name: str
-    N: int
     lhs: float
     rhs: float
 
@@ -263,7 +261,7 @@ def ineq_u2(f: np.ndarray, w: np.ndarray, N: int) -> IneqResult:
     f, w = np.asarray(f), np.asarray(w)
     conv = _fft_convolve(f[:N], w[:N])  # x = 2 .. 2N
     lhs = float(np.sum(np.abs(conv / N) ** 2) / (2 * N))
-    return IneqResult("u2", N, lhs, _norm_pow(w[:N], N, 2, 2))
+    return IneqResult(lhs, _norm_pow(w[:N], N, 2, 2))
 
 
 def _shift_matrix(f: np.ndarray, N: int) -> np.ndarray:
@@ -306,7 +304,7 @@ def ineq_u3_modulated(f: np.ndarray, w: np.ndarray, N: int, *,
     for lo in range(0, 2 * N, 256):
         acc += float(np.sum((sup[lo : lo + 256] / N) ** 4))
     lhs = acc / (2 * N)
-    return IneqResult("u3mod", N, lhs, _norm_pow(w[:N], N, 3, 4))
+    return IneqResult(lhs, _norm_pow(w[:N], N, 3, 4))
 
 
 def ineq_u4_convolution(f: np.ndarray, w: np.ndarray, N: int) -> IneqResult:
@@ -314,7 +312,7 @@ def ineq_u4_convolution(f: np.ndarray, w: np.ndarray, N: int) -> IneqResult:
     f, w = np.asarray(f), np.asarray(w)
     conv = _fft_convolve(f[:N], w[:N])
     lhs = float(np.sum(np.abs(conv / N) ** 4) / (2 * N))
-    return IneqResult("u4conv", N, lhs, _norm_pow(w[:N], N, 3, 4))
+    return IneqResult(lhs, _norm_pow(w[:N], N, 3, 4))
 
 
 def ineq_rtt(f: np.ndarray, w: np.ndarray, g_family: np.ndarray, N: int) -> IneqResult:
@@ -346,7 +344,7 @@ def ineq_rtt(f: np.ndarray, w: np.ndarray, g_family: np.ndarray, N: int) -> Ineq
 
     inner = gowers._run_rows([(0, 2 * N, size)], inner_rows)
     lhs = float(np.mean(inner**2))
-    return IneqResult("rtt", N, lhs, _norm_pow(w[:N], N, 3, 4))
+    return IneqResult(lhs, _norm_pow(w[:N], N, 3, 4))
 
 
 def ineq_double_recurrence(f: np.ndarray, g: np.ndarray, w: np.ndarray,
@@ -361,5 +359,5 @@ def ineq_double_recurrence(f: np.ndarray, g: np.ndarray, w: np.ndarray,
         x = np.arange(lo, hi + 1)
         acc[lo : hi + 1] += w[n - 1] * f[x - n - 1] * g[x + n - 1]
     lhs = float(np.sum(np.abs(acc[1:] / N) ** 2) / (2 * N))
-    return IneqResult("double", N, lhs, _norm_pow(w[:N], N, 3, 2))
+    return IneqResult(lhs, _norm_pow(w[:N], N, 3, 2))
 

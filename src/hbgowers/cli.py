@@ -1,9 +1,10 @@
 """Command-line front end: sweep runner with CSV outputs and JSON manifests.
 
 Verbs: sieve, unorm, ap, cube, expect, ineq, ww, rtt, decay, approx.
-Exit codes: 0 success, 2 precondition violation, 3 over the time budget.
+Exit codes: 0 success, 2 precondition violation (bad input or an unusable
+path), 3 over the time budget.
 
-Weight grammar for --weight:
+Grammar for --weight:
     vonmangoldt            sieved Lambda up to N (uses --cache-dir if given)
     hb:Q=8                 dyadic block weight Lambda_Q
     hbsum:T=8              running total Lambda_{<=T}
@@ -11,13 +12,14 @@ Weight grammar for --weight:
                            T from --T, defaulting to the N-adapted schedule
 
 System grammar for --system / --system2:
-    rotation:alpha=0.4142135623730951[,x=0.25]
+    rotation:alpha=sqrt2|sqrt3|sqrt5|golden|<float>[,x=0.25]
     doubling:x=sqrt2       (also sqrt3, sqrt5, golden, p/q, or a float)
     signs:seed=7
 
 Verbs compute and main records: main alone writes the one CSV a verb returns
 (shortest-roundtrip float repr, so reruns are byte-identical) and appends its
-record (timestamps, parameters, stats, CSV digest) to ``manifest.jsonl``.
+record (timestamps, parameters, stats, CSV digest) to ``manifest.jsonl``, in
+--out-dir, made only after the verb returns.
 
 The U^3 cost model sums n log2 n per shift over the kernel's own FFT-length
 buckets, scaled by a startup probe at L = 1024; work estimated over
@@ -51,10 +53,6 @@ import numpy as np
 
 from hbgowers import arith, averages, cube, gowers, hb_model
 from hbgowers.calibration import INEQ_CONSTANTS
-
-
-class Precondition(Exception):
-    pass
 
 
 class BudgetExceeded(Exception):
@@ -107,10 +105,13 @@ _CONFIG_KEYS = {"ns": _int_list, "qs": _int_list, "oversample": int, "threads": 
 def _read_config(path: str) -> dict:
     """The config keys set in the INI [sweep] (or DEFAULT) section, parsed."""
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise Precondition(f"config file {path} not found or unreadable")
-    sec = parser["sweep"] if parser.has_section("sweep") else parser["DEFAULT"]
-    values = {key: parse(sec[key]) for key, parse in _CONFIG_KEYS.items() if key in sec}
+    try:
+        if not parser.read(path):
+            raise ValueError(f"config file {path} not found or unreadable")
+        sec = parser["sweep"] if parser.has_section("sweep") else parser["DEFAULT"]
+        values = {key: parse(sec[key]) for key, parse in _CONFIG_KEYS.items() if key in sec}
+    except configparser.Error as exc:  # no section header, a repeated key, ...
+        raise ValueError(f"bad config file {path}: {exc}") from exc
     return {key: value for key, value in values.items() if value not in ([], "")}
 
 
@@ -136,7 +137,7 @@ def _parse_kv(body: str) -> dict[str, str]:
     for item in body.split(","):
         if item:
             if "=" not in item:
-                raise Precondition(f"malformed parameter {item!r}")
+                raise ValueError(f"malformed parameter {item!r}")
             k, v = item.split("=", 1)
             out[k.strip()] = v.strip()
     return out
@@ -169,7 +170,7 @@ def _twist_params(spec: str) -> hb_model.TwistParams:
     return hb_model.TwistParams(q0=int(kv["q"]), sigma=float(kv["sigma"]))
 
 
-def parse_weight(spec: str, N: int, T: int | None, cache_dir: str | None) -> hb_model.Weight:
+def parse_weight(spec: str, N: int, T: int | None, cache_dir: str | None) -> gowers.Series:
     try:
         if spec == "vonmangoldt":
             return hb_model.vonmangoldt_weight(_sieve_for(N, cache_dir), N)
@@ -183,14 +184,8 @@ def parse_weight(spec: str, N: int, T: int | None, cache_dir: str | None) -> hb_
             T_eff = T if T is not None else hb_model.q_schedule(N)
             return hb_model.twist(hb_model.lambda_leq(T_eff, N), _twist_params(spec))
     except (KeyError, ValueError) as exc:
-        raise Precondition(f"bad weight spec {spec!r}: {exc}") from exc
-    raise Precondition(f"unknown weight spec {spec!r}")
-
-
-_NAMED_IRRATIONALS = {
-    "sqrt2": 2.0**0.5, "sqrt3": 3.0**0.5, "sqrt5": 5.0**0.5,
-    "golden": (5.0**0.5 - 1.0) / 2.0,
-}
+        raise ValueError(f"bad weight spec {spec!r}: {exc}") from exc
+    raise ValueError(f"unknown weight spec {spec!r}")
 
 
 def parse_system(spec: str) -> averages.SystemDescriptor:
@@ -198,20 +193,14 @@ def parse_system(spec: str) -> averages.SystemDescriptor:
         kind, _, body = spec.partition(":")
         kv = _parse_kv(body)
         if kind == "rotation":
-            raw = kv["alpha"]
-            alpha = _NAMED_IRRATIONALS.get(raw, None)
-            alpha = float(raw) if alpha is None else alpha % 1.0
-            x = float(kv.get("x", 0.0))
-            if not (isfinite(alpha) and isfinite(x)):
-                raise ValueError("alpha and x must be finite")
-            return averages.rotation(alpha, x)
+            return averages.rotation(kv["alpha"], kv.get("x", 0.0))
         if kind == "doubling":
             return averages.doubling(kv.get("x", "sqrt2"))
         if kind == "signs":
             return averages.random_signs(int(kv["seed"]))
     except (KeyError, ValueError) as exc:
-        raise Precondition(f"bad system spec {spec!r}: {exc}") from exc
-    raise Precondition(f"unknown system spec {spec!r}")
+        raise ValueError(f"bad system spec {spec!r}: {exc}") from exc
+    raise ValueError(f"unknown system spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +218,7 @@ def cmd_sieve(args) -> tuple[dict, tuple | None]:
 
 def _check_lengths(ns: list[int]) -> None:
     if min(ns) < 1:
-        raise Precondition("--N must be >= 1")
+        raise ValueError("--N must be >= 1")
 
 
 def cmd_unorm(args) -> tuple[dict, tuple | None]:
@@ -239,8 +228,7 @@ def cmd_unorm(args) -> tuple[dict, tuple | None]:
     for s in args.s:
         if s == 3:
             check_budget(estimate_u3_seconds(args.N), args.budget_seconds, f"U^3 at N={args.N}")
-        res = gowers.gowers_normalized(gowers.Series(w.values),
-                                       args.N, s, workers=args.threads)
+        res = gowers.gowers_normalized(w, args.N, s, workers=args.threads)
         rows.append((s, args.N, res.raw, res.normalizer, res.normalized))
         print(f"unorm s={s} N={args.N} norm={res.normalized!r}")
     name = f"unorm_{args.weight.replace(':', '_').replace(',', '_')}_{args.N}.csv"
@@ -250,7 +238,7 @@ def cmd_unorm(args) -> tuple[dict, tuple | None]:
 
 def cmd_ap(args) -> tuple[dict, tuple | None]:
     if args.q < 1:
-        raise Precondition("--q must be >= 1")
+        raise ValueError("--q must be >= 1")
     _check_lengths([args.N])
     w = parse_weight(args.weight, args.N, args.T, args.cache_dir)
     params = _twist_params(args.weight) if args.weight.startswith("twist:") else None
@@ -275,7 +263,7 @@ def cmd_cube(args) -> tuple[dict, tuple | None]:
     if args.mask is not None:
         masks = [args.mask]
         if not 0 <= args.mask < 256:
-            raise Precondition(f"--mask must be an 8-bit vertex mask, got {args.mask}")
+            raise ValueError(f"--mask must be an 8-bit vertex mask, got {args.mask}")
     else:
         masks = list(range(256))  # --exhaustive and the default coincide
     rows = []
@@ -292,7 +280,7 @@ def cmd_expect(args) -> tuple[dict, tuple | None]:
     tuples: list[tuple[int, ...]] = []
     if args.qs:
         if len(args.qs) != 8:
-            raise Precondition(f"--qs needs 8 comma-separated entries, got {len(args.qs)}")
+            raise ValueError(f"--qs needs 8 comma-separated entries, got {len(args.qs)}")
         tuples.append(tuple(args.qs))
     if args.samples:
         rng = np.random.default_rng(args.seed)
@@ -300,7 +288,7 @@ def cmd_expect(args) -> tuple[dict, tuple | None]:
         for _ in range(args.samples):
             tuples.append(tuple(int(pool[i]) for i in rng.integers(0, len(pool), 8)))
     if not tuples:
-        raise Precondition("expect needs --qs and/or --samples")
+        raise ValueError("expect needs --qs and/or --samples")
     rows = []
     for qs in tuples:
         e = cube.ramanujan_cube_expectation(qs)
@@ -314,9 +302,9 @@ def cmd_expect(args) -> tuple[dict, tuple | None]:
 
 def cmd_ineq(args) -> tuple[dict, tuple | None]:
     if args.oversample < 2:
-        raise Precondition(f"oversample must be >= 2, got {args.oversample}")
+        raise ValueError(f"oversample must be >= 2, got {args.oversample}")
     if args.trials < 1:
-        raise Precondition("--trials must be >= 1")
+        raise ValueError("--trials must be >= 1")
     _check_lengths([args.N])
     w = parse_weight(args.weight, args.N, args.T, args.cache_dir)
     rng = np.random.default_rng(args.seed)
@@ -389,7 +377,7 @@ def cmd_rtt(args) -> tuple[dict, tuple | None]:
 
 def cmd_decay(args) -> tuple[dict, tuple | None]:
     if args.M < 1:
-        raise Precondition("--M must be >= 1")
+        raise ValueError("--M must be >= 1")
     rows = []
     premise = {}
     for Q in args.qs:
@@ -402,13 +390,12 @@ def cmd_decay(args) -> tuple[dict, tuple | None]:
             what += f", raised to cover the period P_Q={P})" if M > args.M else ")"
             check_budget(estimate_u3_seconds(M), args.budget_seconds, what)
             w = hb_model.lambda_Q(Q, M)
-            res = gowers.gowers_normalized(gowers.Series(w.values), M, 3,
-                                           workers=args.threads)
+            res = gowers.gowers_normalized(w, M, 3, workers=args.threads)
             rows.append((Q, M, "interval", res.normalized))
             premise[str(Q)] = M >= Q**20
         if args.mode in ("cyclic", "both"):
             if P > gowers._CYCLIC_P_MAX:
-                raise Precondition(
+                raise ValueError(
                     f"cyclic mode at Q={Q} needs P_Q <= {gowers._CYCLIC_P_MAX}, got {P}")
             w = hb_model.lambda_Q(Q, P)
             rows.append((Q, P, "cyclic", gowers.gowers_cyclic(w.values, 3)))
@@ -426,9 +413,9 @@ def cmd_approx(args) -> tuple[dict, tuple | None]:
     rows = []
     for N in args.ns:
         if N > 10**7:
-            raise Precondition(f"approx needs N <= 10^7, got {N}")
+            raise ValueError(f"approx needs N <= 10^7, got {N}")
         if args.s == 3 and N > 1 << 15:
-            raise Precondition(f"approx U^3 needs N <= 2^15, got {N}")
+            raise ValueError(f"approx U^3 needs N <= 2^15, got {N}")
         Q = hb_model.q_schedule(N)
         tables = _sieve_for(N, args.cache_dir)
         diff = tables.vonmangoldt[1 : N + 1] - hb_model.lambda_leq(Q, N).values
@@ -541,15 +528,15 @@ def main(argv: list[str] | None = None) -> int:
         budget = getattr(args, "budget_seconds", 1.0)
         if not (isfinite(budget) and budget > 0):
             kind = "a number" if isnan(budget) else "positive and finite"
-            raise Precondition(f"--budget-seconds must be {kind}, got {budget}")
+            raise ValueError(f"--budget-seconds must be {kind}, got {budget}")
         if getattr(args, "threads", 1) < 1:
-            raise Precondition(f"workers must be >= 1, got {args.threads}")
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+            raise ValueError(f"workers must be >= 1, got {args.threads}")
         record = {"command": args.verb, "started": datetime.now(timezone.utc).isoformat(),
                   "params": {k: v for k, v in vars(args).items() if k != "verb"}}
         t0 = time.perf_counter()
         stats, table = _COMMANDS[args.verb](args)
+        out_dir = Path(args.out_dir)  # made here, so a refused run leaves none
+        out_dir.mkdir(parents=True, exist_ok=True)
         outputs = []
         if table is not None:
             name, header, rows = table
@@ -565,7 +552,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(out_dir / "manifest.jsonl", "a") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
         return 0
-    except (Precondition, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # bad input or an unusable path
         print(f"precondition: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:

@@ -79,7 +79,6 @@ class GowersResult:
     ``normalized`` is (raw / normalizer) ** (1 / 2^s).
     """
 
-    s: int
     raw: float
     normalizer: float
     normalized: float
@@ -263,7 +262,7 @@ def gowers_normalized(f: Series, N: int, s: int, workers: int = 1) -> GowersResu
         raise ValueError(f"series length {f.length} exceeds normalization window N={N}")
     raw = gowers_raw_fast(f, s, workers=workers)
     normalizer = interval_normalizer(N, s)
-    return GowersResult(s=s, raw=raw, normalizer=normalizer,
+    return GowersResult(raw=raw, normalizer=normalizer,
                         normalized=(raw / normalizer) ** (1.0 / (1 << s)))
 
 

@@ -8,7 +8,9 @@ The dyadic block weight and its running total are
 
 Lambda_Q is periodic with period P_Q = lcm(Q/2 < q <= Q), has mean zero over
 a full period for Q >= 2 (each c_q with q > 1 averages to zero), and mean one
-for the trivial block Q = 1.
+for the trivial block Q = 1.  Every weight builder returns a gowers.Series
+with values[i] = w(1 + i); every block top Q and total T must be a power of
+two at most 64.
 
 Expanding c_q by its divisor formula turns the running total into type-I
 shape: Lambda_{<=Q}(n) = sum_{d | n} alpha_d with
@@ -38,19 +40,9 @@ from hbgowers.arith import (
     ramanujan_table,
     totient_int,
 )
+from hbgowers.gowers import Series
 
 _Q_MAX = 64  # period lcm fits comfortably; larger blocks are refused
-
-
-@dataclass
-class Weight:
-    """Real weight sequence w(n) for n = 1 .. len(values)."""
-
-    values: np.ndarray
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass
@@ -70,6 +62,8 @@ class TwistParams:
 def _check_dyadic(Q: int, name: str = "Q") -> None:
     if Q < 1 or Q & (Q - 1):
         raise ValueError(f"{name} must be a power of two >= 1, got {Q}")
+    if Q > _Q_MAX:
+        raise ValueError(f"{name}={Q} refused ({name} <= {_Q_MAX})")
 
 
 def _check_length(N: int) -> None:
@@ -84,14 +78,11 @@ def block_range(Q: int) -> range:
 
 
 def hb_period(Q: int) -> int:
-    """P_Q = lcm of the block (Q/2, Q]; P_1 = 1.  Refuses Q > 64."""
-    _check_dyadic(Q)
-    if Q > _Q_MAX:
-        raise ValueError(f"period of block Q={Q} exceeds the supported range (Q <= {_Q_MAX})")
-    return lcm(*block_range(Q)) if Q > 1 else 1
+    """P_Q = lcm of the block (Q/2, Q]; P_1 = 1."""
+    return lcm(*block_range(Q))
 
 
-def lambda_Q(Q: int, N: int) -> Weight:
+def lambda_Q(Q: int, N: int) -> Series:
     """The block weight Lambda_Q on n = 1 .. N.
 
     Each q in the block contributes (mu(q)/phi(q)) c_q(n) through its exact
@@ -100,8 +91,6 @@ def lambda_Q(Q: int, N: int) -> Weight:
     are bitwise equal.
     """
     _check_dyadic(Q)
-    if Q > _Q_MAX:
-        raise ValueError(f"block Q={Q} refused (Q <= {_Q_MAX})")
     _check_length(N)
     out = np.zeros(N, dtype=np.float64)
     for q in block_range(Q):
@@ -114,22 +103,20 @@ def lambda_Q(Q: int, N: int) -> Weight:
         periods = out[:m].reshape(-1, q)  # a view: the sum lands in out
         periods += coef
         out[m:] += coef[: N - m]
-    return Weight(values=out)
+    return Series(out)
 
 
-def lambda_leq(T: int, N: int) -> Weight:
+def lambda_leq(T: int, N: int) -> Series:
     """Running total Lambda_{<=T} on n = 1 .. N; T a power of two.
 
     Blocks are summed in fixed dyadic order.
     """
     _check_dyadic(T, "T")
-    if T > _Q_MAX:
-        raise ValueError(f"T={T} refused (T <= {_Q_MAX})")
     _check_length(N)
     out = np.zeros(N, dtype=np.float64)
     for Q in dyadic_blocks(T):
         out += lambda_Q(Q, N).values
-    return Weight(values=out)
+    return Series(out)
 
 
 def lambda_leq_direct(T: int, N: int) -> np.ndarray:
@@ -178,21 +165,21 @@ def lambda_leq_type1(Q: int, N: int) -> np.ndarray:
     return out[1:]
 
 
-def twist(w: Weight, params: TwistParams) -> Weight:
+def twist(w: Series, params: TwistParams) -> Series:
     """w(n) -> w(n) (1 - n^{sigma - 1} chi_{q0}(n))."""
     n = np.arange(1, w.length + 1, dtype=np.float64)
     chi = character_table(params.q0, w.length + 1)[1:].astype(np.float64)
     factor = 1.0 - n ** (params.sigma - 1.0) * chi
-    return Weight(values=w.values * factor)
+    return Series(w.values * factor)
 
 
-def vonmangoldt_weight(tables: SieveTables, N: int) -> Weight:
+def vonmangoldt_weight(tables: SieveTables, N: int) -> Series:
     if N > tables.limit:
         raise ValueError(f"sieve limit {tables.limit} < N={N}")
-    return Weight(values=tables.vonmangoldt[1 : N + 1].copy())
+    return Series(tables.vonmangoldt[1 : N + 1].copy())
 
 
-def ap_sum(w: Weight, a: int, q: int, n_prime: int) -> float:
+def ap_sum(w: Series, a: int, q: int, n_prime: int) -> float:
     """sum_{n <= n_prime, n = a mod q} w(n); requires 1 <= a <= q."""
     if not 1 <= a <= q:
         raise ValueError(f"need 1 <= a <= q, got a={a}, q={q}")
@@ -233,7 +220,7 @@ def q_schedule(N: int) -> int:
     return max(1, 1 << k)
 
 
-def moment(w: Weight, k: float) -> float:
+def moment(w: Series, k: float) -> float:
     """E_{n} |w(n)|^k over the weight's support."""
     return float(np.mean(np.abs(w.values) ** k))
 

@@ -122,6 +122,16 @@ def test_system_labels():
     assert "signs" in averages.random_signs(3).label()
 
 
+def test_rotation_names_and_finite_guard():
+    # a named alpha is reduced mod 1 (the CLI labels depend on it); a float is
+    # kept as given; a library caller gets the CLI's non-finite refusal
+    assert averages.rotation("sqrt2").label() == "rotation:alpha=0.41421356237309515,x=0.0"
+    assert averages.rotation(1.25, 0.5).params == {"alpha": 1.25, "x": 0.5}
+    for alpha, x in ((float("nan"), 0.0), (0.3, float("inf")), ("-inf", 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            averages.rotation(alpha, x)
+
+
 # ---------------------------------------------------------------------------
 # modulated averages
 
@@ -142,7 +152,6 @@ def test_ww_sup_grid_consistency():
     w = hb_model.lambda_leq(4, N)
     f = averages.orbit(averages.rotation(sqrt(2.0) % 1.0, 0.0), N)
     res = averages.ww_sup_grid(w, f, N, oversample=8)
-    assert res.N == N and res.oversample == 8
     direct = abs(averages.ww_average(w, f, res.theta_star, N))
     assert res.sup_modulus == pytest.approx(direct, abs=1e-10)
     # sup dominates a few arbitrary grid points
@@ -155,9 +164,9 @@ def test_ww_sup_grid_consistency():
 def test_ww_sup_grid_on_grid_resonance_exact():
     N = 128
     L = 8 * N
-    ones = hb_model.Weight(np.ones(N))
+    ones = gowers.Series(np.ones(N))
     j0 = 11
-    f = averages.OrbitSequence(np.exp(-2j * np.pi * (j0 / L) * np.arange(1, N + 1)))
+    f = gowers.Series(np.exp(-2j * np.pi * (j0 / L) * np.arange(1, N + 1)))
     res = averages.ww_sup_grid(ones, f, N, oversample=8)
     assert res.sup_modulus == pytest.approx(1.0, abs=1e-12)
     assert res.theta_star == pytest.approx(j0 / L, abs=1e-15)
@@ -165,7 +174,7 @@ def test_ww_sup_grid_on_grid_resonance_exact():
 
 def test_ww_grid_error_bound_shape():
     N = 64
-    ones = hb_model.Weight(np.ones(N))
+    ones = gowers.Series(np.ones(N))
     f = averages.orbit(averages.rotation(0.123, 0.0), N)
     res4 = averages.ww_sup_grid(ones, f, N, oversample=4)
     res8 = averages.ww_sup_grid(ones, f, N, oversample=8)
@@ -177,7 +186,7 @@ def test_ww_grid_error_bound_shape():
 
 def test_ww_sup_grid_guards():
     N = 16
-    ones = hb_model.Weight(np.ones(N))
+    ones = gowers.Series(np.ones(N))
     f = averages.orbit(averages.rotation(0.1, 0.0), N)
     with pytest.raises(ValueError):
         averages.ww_sup_grid(ones, f, N, oversample=1)
@@ -187,8 +196,8 @@ def test_ww_sup_grid_guards():
 
 def test_rtt_average_fixtures():
     N = 100
-    ones_w = hb_model.Weight(np.ones(N))
-    ones_f = averages.OrbitSequence(np.ones(N, dtype=complex))
+    ones_w = gowers.Series(np.ones(N))
+    ones_f = gowers.Series(np.ones(N, dtype=complex))
     assert averages.rtt_average(ones_w, ones_f, ones_f, N) == pytest.approx(1.0)
 
 
@@ -402,7 +411,7 @@ def test_transfer_sup_grid_invariant():
 
 def test_signs_band_regression():
     N = 1 << 14
-    ones = hb_model.Weight(np.ones(N))
+    ones = gowers.Series(np.ones(N))
     scale = sqrt(log(N) / N)
     for seed in (1, 7, 23):
         f = averages.orbit(averages.random_signs(seed), N)

@@ -204,6 +204,41 @@ def test_exit_two_bad_threads_or_oversample(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "manifest.jsonl").exists()
 
 
+def test_refusals_leave_no_output(tmp_path, capsys, monkeypatch):
+    # an unusable path or a malformed config exits 2 with no traceback, a
+    # malformed spec parameter names its spec, and a refused run writes no CSV
+    # or manifest and leaves no out-dir behind
+    afile, cache = tmp_path / "afile", tmp_path / "cache"
+    afile.write_text("")
+    (cache / "sieve_100.hbg").mkdir(parents=True)
+    no_header, repeated = tmp_path / "no_header.ini", tmp_path / "repeated.ini"
+    no_header.write_text("threads = 2\n")
+    repeated.write_text("[sweep]\nthreads = 2\nthreads = 3\n")
+    for argv, code, message in (
+            ("decay --qs 32 --mode interval", 3, "budget: interval U^3 at M="),
+            (f"cube --mask 3 --out-dir {afile}", 2, "precondition: [Errno 17] File exists"),
+            (f"sieve --N 100 --cache-dir {afile}", 2, "precondition: [Errno 17] File exists"),
+            (f"sieve --N 100 --cache-dir {cache}", 2, "precondition: [Errno 21] Is a directory"),
+            (f"unorm --N 64 --s 2 --config {no_header}", 2,
+             "precondition: bad config file"),
+            (f"unorm --N 64 --s 2 --config {repeated}", 2,
+             "precondition: bad config file"),
+            ("unorm --N 64 --s 2 --weight hb:Q", 2,
+             "precondition: bad weight spec 'hb:Q': malformed parameter 'Q'"),
+            ("ww --N 64 --system rotation:alpha", 2,
+             "precondition: bad system spec 'rotation:alpha': malformed parameter 'alpha'")):
+        monkeypatch.setattr(cli, "_sieve_memo", {})  # each sieve row reaches its cache
+        out, args = tmp_path / "out", argv.split()
+        if "--out-dir" not in args:
+            args += ["--out-dir", str(out)]
+        assert cli.main(args) == code, argv
+        assert capsys.readouterr().err.startswith(message), argv
+        assert not out.exists(), argv
+        assert afile.is_file(), argv
+    assert not list(tmp_path.rglob("*.csv"))
+    assert not list(tmp_path.rglob("manifest.jsonl"))
+
+
 def test_exit_two_decay_cyclic_guard(tmp_path, capsys):
     # cyclic mode is capped at period 4096, a precondition rather than a budget
     assert run(tmp_path, "decay", "--qs", "16", "--mode", "cyclic") == 2

@@ -155,7 +155,7 @@ def test_indicator_norm_is_exactly_one():
 
 def test_normalized_result_fields():
     res = gowers.gowers_normalized(Series(np.ones(4)), 4, 2)
-    assert res.s == 2 and res.raw == res.normalizer
+    assert res.raw == res.normalizer
     assert res.raw / res.normalizer == pytest.approx(1.0)
 
 

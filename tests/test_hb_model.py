@@ -28,8 +28,11 @@ def test_period_growth_window():
 def test_period_guards():
     with pytest.raises(ValueError):
         hb_model.hb_period(3)
-    with pytest.raises(ValueError):
-        hb_model.hb_period(128)
+    # one Q <= 64 refusal for every builder, before any allocation
+    for build in (hb_model.hb_period, lambda Q: hb_model.lambda_Q(Q, 8),
+                  lambda T: hb_model.lambda_leq(T, 8)):
+        with pytest.raises(ValueError, match="<= 64"):
+            build(128)
 
 
 def test_lambda2_is_alternating_sign():
