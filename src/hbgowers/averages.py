@@ -79,6 +79,8 @@ def rotation(alpha: str | float, x: float = 0.0) -> SystemDescriptor:
 
 
 def doubling(x: str | float = "sqrt2") -> SystemDescriptor:
+    """Doubling from x: sqrt2, sqrt3, sqrt5, golden, p/q with q >= 1, or a finite float."""
+    _doubling_fixed_point(x, 64)  # refuses a bad seed here, not in orbit
     return SystemDescriptor(kind="doubling", params={"x": x})
 
 
@@ -130,6 +132,8 @@ def _doubling_fixed_point(x: str | float, bits: int) -> int:
                 raise ValueError(f"invalid rational {name}")
             return ((p % q) << bits) // q
         x = float(name)
+    if not isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     frac = float(x) % 1.0
     return int(frac * (1 << 53)) << (bits - 53)
 
@@ -139,13 +143,12 @@ def orbit(system: SystemDescriptor, N: int) -> Series:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if system.kind == "rotation":
-        alpha = float(system.params["alpha"])
-        x0 = float(system.params.get("x", 0.0))
+        alpha, x0 = system.params["alpha"], system.params["x"]
         n = np.arange(1, N + 1, dtype=np.float64)
         vals = np.exp(2j * np.pi * ((x0 + n * alpha) % 1.0))
     elif system.kind == "doubling":
         bits = 8 * ((N + 71) // 8)  # N + 64 rounded up to a byte boundary
-        X = _doubling_fixed_point(system.params.get("x", "sqrt2"), bits)
+        X = _doubling_fixed_point(system.params["x"], bits)
         # frac(2^n x) to 64 bits is the 64-bit window at bit n of X, MSB first
         digits = np.unpackbits(np.frombuffer(X.to_bytes(bits // 8, "big"), np.uint8))
         win = np.packbits(sliding_window_view(digits, 64)[1 : N + 1], axis=1).view(">u8")[:, 0]
@@ -352,12 +355,8 @@ def ineq_double_recurrence(f: np.ndarray, g: np.ndarray, w: np.ndarray,
     """Double recurrence: E_x |E_n w(n) f(x-n) g(x+n)|^2 vs ||w||^2_{U^3[N]}."""
     f, g, w = np.asarray(f), np.asarray(g), np.asarray(w)
     acc = np.zeros(2 * N + 1, dtype=complex)  # index x = 0 .. 2N
-    for n in range(1, N // 2 + 1):
-        lo, hi = n + 1, N - n
-        if lo > hi:
-            break
-        x = np.arange(lo, hi + 1)
-        acc[lo : hi + 1] += w[n - 1] * f[x - n - 1] * g[x + n - 1]
+    for n in range(1, (N + 1) // 2):  # x = n + 1 .. N - n
+        acc[n + 1 : N - n + 1] += w[n - 1] * f[: N - 2 * n] * g[2 * n : N]
     lhs = float(np.sum(np.abs(acc[1:] / N) ** 2) / (2 * N))
     return IneqResult(lhs, _norm_pow(w[:N], N, 3, 2))
 

@@ -4,16 +4,16 @@ Verbs: sieve, unorm, ap, cube, expect, ineq, ww, rtt, decay, approx.
 Exit codes: 0 success, 2 precondition violation (bad input or an unusable
 path), 3 over the time budget.
 
-Grammar for --weight:
+Grammar for --weight (a key the kind does not take exits 2):
     vonmangoldt            sieved Lambda up to N (uses --cache-dir if given)
     hb:Q=8                 dyadic block weight Lambda_Q
     hbsum:T=8              running total Lambda_{<=T}
     twist:q=3,sigma=0.9    Lambda_{<=T} twisted by (1 - n^{sigma-1} chi_q(n));
                            T from --T, defaulting to the N-adapted schedule
 
-System grammar for --system / --system2:
+System grammar for --system / --system2 (likewise):
     rotation:alpha=sqrt2|sqrt3|sqrt5|golden|<float>[,x=0.25]
-    doubling:x=sqrt2       (also sqrt3, sqrt5, golden, p/q, or a float)
+    doubling:x=sqrt2       (also sqrt3, sqrt5, golden, p/q, or a finite float)
     signs:seed=7
 
 Verbs compute and main records: main alone writes the one CSV a verb returns
@@ -23,9 +23,10 @@ record (timestamps, parameters, stats, CSV digest) to ``manifest.jsonl``, in
 
 The U^3 cost model sums n log2 n per shift over the kernel's own FFT-length
 buckets, scaled by a startup probe at L = 1024; work estimated over
---budget-seconds is refused with exit code 3 before any heavy allocation (a
-budget that is NaN, infinite, zero or negative, or --threads below 1, by flag
-or config, exits 2 before any work; --oversample below 2 exits 2 as well).
+--budget-seconds is refused with exit code 3 before any heavy allocation.  A
+budget that is NaN, infinite, zero or negative, an integer below its _AT_LEAST
+bound (by flag or config) and an --out-dir that mkdir would refuse exit 2
+before any verb runs; --oversample below 2 exits 2 from the verb.
 
 Each verb takes --config and --out-dir plus only the flags it reads; any other
 flag is refused by argparse with exit code 2.  --config reads the INI [sweep]
@@ -40,9 +41,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import errno
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -132,14 +135,17 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 # weight / system parsing
 
 
-def _parse_kv(body: str) -> dict[str, str]:
+def _parse_kv(body: str, *keys: str) -> dict[str, str]:
+    """The key=value pairs of a spec body; with ``keys`` given, any other key is refused."""
     out = {}
     for item in body.split(","):
         if item:
             if "=" not in item:
                 raise ValueError(f"malformed parameter {item!r}")
-            k, v = item.split("=", 1)
-            out[k.strip()] = v.strip()
+            k, v = (part.strip() for part in item.split("=", 1))
+            if keys and k not in keys:
+                raise ValueError(f"unknown parameter {k!r}")
+            out[k] = v
     return out
 
 
@@ -166,7 +172,7 @@ def _sieve_for(N: int, cache_dir: str | None) -> arith.SieveTables:
 
 
 def _twist_params(spec: str) -> hb_model.TwistParams:
-    kv = _parse_kv(spec[6:])
+    kv = _parse_kv(spec[6:], "q", "sigma")
     return hb_model.TwistParams(q0=int(kv["q"]), sigma=float(kv["sigma"]))
 
 
@@ -175,11 +181,9 @@ def parse_weight(spec: str, N: int, T: int | None, cache_dir: str | None) -> gow
         if spec == "vonmangoldt":
             return hb_model.vonmangoldt_weight(_sieve_for(N, cache_dir), N)
         if spec.startswith("hb:"):
-            kv = _parse_kv(spec[3:])
-            return hb_model.lambda_Q(int(kv["Q"]), N)
+            return hb_model.lambda_Q(int(_parse_kv(spec[3:], "Q")["Q"]), N)
         if spec.startswith("hbsum:"):
-            kv = _parse_kv(spec[6:])
-            return hb_model.lambda_leq(int(kv["T"]), N)
+            return hb_model.lambda_leq(int(_parse_kv(spec[6:], "T")["T"]), N)
         if spec.startswith("twist:"):
             T_eff = T if T is not None else hb_model.q_schedule(N)
             return hb_model.twist(hb_model.lambda_leq(T_eff, N), _twist_params(spec))
@@ -189,18 +193,15 @@ def parse_weight(spec: str, N: int, T: int | None, cache_dir: str | None) -> gow
 
 
 def parse_system(spec: str) -> averages.SystemDescriptor:
+    kind, _, body = spec.partition(":")
+    build = {"rotation": averages.rotation, "doubling": averages.doubling,
+             "signs": averages.random_signs}.get(kind)
+    if build is None:
+        raise ValueError(f"unknown system spec {spec!r}")
     try:
-        kind, _, body = spec.partition(":")
-        kv = _parse_kv(body)
-        if kind == "rotation":
-            return averages.rotation(kv["alpha"], kv.get("x", 0.0))
-        if kind == "doubling":
-            return averages.doubling(kv.get("x", "sqrt2"))
-        if kind == "signs":
-            return averages.random_signs(int(kv["seed"]))
-    except (KeyError, ValueError) as exc:
+        return build(**_parse_kv(body))
+    except (TypeError, ValueError) as exc:  # an unknown or missing key, a bad value
         raise ValueError(f"bad system spec {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown system spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +217,7 @@ def cmd_sieve(args) -> tuple[dict, tuple | None]:
     return {"limit": args.N, "primes": n_primes, "psi": psi}, None
 
 
-def _check_lengths(ns: list[int]) -> None:
-    if min(ns) < 1:
-        raise ValueError("--N must be >= 1")
-
-
 def cmd_unorm(args) -> tuple[dict, tuple | None]:
-    _check_lengths([args.N])
     w = parse_weight(args.weight, args.N, args.T, args.cache_dir)
     rows = []
     for s in args.s:
@@ -237,9 +232,6 @@ def cmd_unorm(args) -> tuple[dict, tuple | None]:
 
 
 def cmd_ap(args) -> tuple[dict, tuple | None]:
-    if args.q < 1:
-        raise ValueError("--q must be >= 1")
-    _check_lengths([args.N])
     w = parse_weight(args.weight, args.N, args.T, args.cache_dir)
     params = _twist_params(args.weight) if args.weight.startswith("twist:") else None
     rows = []
@@ -260,12 +252,9 @@ def cmd_ap(args) -> tuple[dict, tuple | None]:
 
 
 def cmd_cube(args) -> tuple[dict, tuple | None]:
-    if args.mask is not None:
-        masks = [args.mask]
-        if not 0 <= args.mask < 256:
-            raise ValueError(f"--mask must be an 8-bit vertex mask, got {args.mask}")
-    else:
-        masks = list(range(256))  # --exhaustive and the default coincide
+    if args.mask is not None and not 0 <= args.mask < 256:
+        raise ValueError(f"--mask must be an 8-bit vertex mask, got {args.mask}")
+    masks = list(range(256)) if args.mask is None else [args.mask]  # all, as --exhaustive
     rows = []
     for mask in masks:
         rows.append((mask, bin(mask).count("1"), int(cube.admissible(mask)),
@@ -303,9 +292,6 @@ def cmd_expect(args) -> tuple[dict, tuple | None]:
 def cmd_ineq(args) -> tuple[dict, tuple | None]:
     if args.oversample < 2:
         raise ValueError(f"oversample must be >= 2, got {args.oversample}")
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
-    _check_lengths([args.N])
     w = parse_weight(args.weight, args.N, args.T, args.cache_dir)
     rng = np.random.default_rng(args.seed)
     names = list(INEQ_CONSTANTS) if args.name == "all" else [args.name]
@@ -343,11 +329,9 @@ def cmd_ineq(args) -> tuple[dict, tuple | None]:
 
 
 def cmd_ww(args) -> tuple[dict, tuple | None]:
-    ns = args.ns or [args.N]
-    _check_lengths(ns)
     system = parse_system(args.system)
     rows = []
-    for N in ns:
+    for N in args.ns or [args.N]:
         w = parse_weight(args.weight, N, args.T, args.cache_dir)
         f = averages.orbit(system, N)
         res = averages.ww_sup_grid(w, f, N, oversample=args.oversample)
@@ -359,12 +343,10 @@ def cmd_ww(args) -> tuple[dict, tuple | None]:
 
 
 def cmd_rtt(args) -> tuple[dict, tuple | None]:
-    ns = args.ns or [args.N]
-    _check_lengths(ns)
     sys_f = parse_system(args.system)
     sys_g = parse_system(args.system2)
     rows = []
-    for N in ns:
+    for N in args.ns or [args.N]:
         w = parse_weight(args.weight, N, args.T, args.cache_dir)
         f = averages.orbit(sys_f, N)
         g = averages.orbit(sys_g, N)
@@ -376,8 +358,6 @@ def cmd_rtt(args) -> tuple[dict, tuple | None]:
 
 
 def cmd_decay(args) -> tuple[dict, tuple | None]:
-    if args.M < 1:
-        raise ValueError("--M must be >= 1")
     rows = []
     premise = {}
     for Q in args.qs:
@@ -510,6 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Integer lower bounds, checked by main before any verb.  Kept in the verbs: --oversample (ww's
+# is refused by averages.ww_sup_grid after the orbit is built, as perfbench counts), approx's
+# N caps, --mask's range, and decay's cyclic P_Q cap (it refuses before lambda_Q allocates).
+_AT_LEAST = {"N": 1, "ns": 1, "M": 1, "q": 1, "trials": 1, "threads": 1, "samples": 0}
+
 _COMMANDS = {
     "sieve": cmd_sieve, "unorm": cmd_unorm, "ap": cmd_ap, "cube": cmd_cube,
     "expect": cmd_expect, "ineq": cmd_ineq, "ww": cmd_ww, "rtt": cmd_rtt,
@@ -529,13 +514,20 @@ def main(argv: list[str] | None = None) -> int:
         if not (isfinite(budget) and budget > 0):
             kind = "a number" if isnan(budget) else "positive and finite"
             raise ValueError(f"--budget-seconds must be {kind}, got {budget}")
-        if getattr(args, "threads", 1) < 1:
-            raise ValueError(f"workers must be >= 1, got {args.threads}")
+        for key, least in _AT_LEAST.items():
+            values = getattr(args, key, None)
+            for value in values if isinstance(values, list) else [values]:
+                if value is not None and value < least:
+                    raise ValueError(f"--{key} must be >= {least}, got {value}")
+        out_dir = Path(args.out_dir)  # refused now as mkdir would, but made after the verb
+        near = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+        if not near.is_dir():
+            code = errno.EEXIST if near == out_dir else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), str(out_dir))
         record = {"command": args.verb, "started": datetime.now(timezone.utc).isoformat(),
                   "params": {k: v for k, v in vars(args).items() if k != "verb"}}
         t0 = time.perf_counter()
         stats, table = _COMMANDS[args.verb](args)
-        out_dir = Path(args.out_dir)  # made here, so a refused run leaves none
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = []
         if table is not None:

@@ -63,6 +63,8 @@ class Series:
         self.values = np.asarray(self.values)
         if self.values.ndim != 1:
             raise ValueError("Series values must be one-dimensional")
+        if not np.isfinite(self.values).all():
+            raise ValueError("Series values must be finite (no NaN or inf)")
 
     @property
     def length(self) -> int:

@@ -132,6 +132,15 @@ def test_rotation_names_and_finite_guard():
             averages.rotation(alpha, x)
 
 
+def test_doubling_seed_guard():
+    # a bad seed is refused when the system is built, not when its orbit is
+    for x in ("sqrt2", "sqrt3", "sqrt5", "golden", "1/3", "-5/7", "0.375", 0.375, -2.5):
+        assert averages.doubling(x).params == {"x": x}
+    for x in ("nan", "inf", "-inf", float("nan"), float("inf"), "1/0", "1/-2", "pi", "1.5/2"):
+        with pytest.raises(ValueError):
+            averages.doubling(x)
+
+
 # ---------------------------------------------------------------------------
 # modulated averages
 

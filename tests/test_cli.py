@@ -46,9 +46,14 @@ def test_exit_two_bad_weight(tmp_path, capsys):
     # dyadic guard surfaces through the same path
     assert run(tmp_path, "unorm", "--weight", "hb:Q=3") == 2
     assert run(tmp_path, "unorm", "--weight", "hb:order=3") == 2
+    # a key the weight's kind does not take is refused, not ignored
+    for spec in ("hb:Q=8,foo=1", "hbsum:T=4,Q=2", "twist:q=3,sigma=0.9,zz=1"):
+        assert run(tmp_path, "unorm", "--N", "64", "--s", "2", "--weight", spec) == 2
+        assert f"precondition: bad weight spec '{spec}'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
-def test_exit_two_bad_system(tmp_path, capsys):
+def test_exit_two_bad_system(tmp_path, capsys, monkeypatch):
     assert run(tmp_path, "ww", "--system", "bernoulli:p=0.5", "--N", "64") == 2
     assert "unknown system spec 'bernoulli:p=0.5'" in capsys.readouterr().err
     # a known kind with a missing parameter is malformed, not unknown
@@ -61,6 +66,13 @@ def test_exit_two_bad_system(tmp_path, capsys):
     spec = "rotation:alpha=-inf"
     assert run(tmp_path, "rtt", "--system2", spec, "--N", "64") == 2
     assert f"bad system spec '{spec}'" in capsys.readouterr().err
+    # a key the constructor does not take, and a doubling seed that is not a
+    # name, a p/q with q >= 1 or a finite float, are refused before any weight
+    monkeypatch.setattr(cli, "parse_weight", None)
+    for spec in ("rotation:alpha=sqrt2,y=1", "signs:seed=7,bogus=2", "doubling:x=nan",
+                 "doubling:x=inf", "doubling:x=1/0", "doubling:y=0.5"):
+        assert run(tmp_path, "ww", "--system", spec, "--N", "64") == 2
+        assert f"precondition: bad system spec '{spec}'" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -78,11 +90,11 @@ def test_exit_two_bad_threads(tmp_path, capsys, monkeypatch, threads):
 
     monkeypatch.setattr(gowers, "ThreadPoolExecutor", no_pool)
     assert run(tmp_path, "unorm", "--threads", threads) == 2
-    assert "precondition: workers must be >= 1" in capsys.readouterr().err
+    assert "precondition: --threads must be >= 1" in capsys.readouterr().err
     ini = tmp_path / "sweep.ini"
     ini.write_text(f"[sweep]\nthreads = {threads}\n")
     assert run(tmp_path, "unorm", "--s", "3", "--config", str(ini)) == 2
-    assert "precondition: workers must be >= 1" in capsys.readouterr().err
+    assert "precondition: --threads must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("N", ["0", "-1"])
@@ -186,18 +198,34 @@ def test_exit_two_nan_budget(tmp_path, capsys):
 
 
 def test_exit_two_bad_threads_or_oversample(tmp_path, capsys, monkeypatch):
-    # a bad --threads or --oversample exits 2, by flag or config key, with no CSV
-    # or manifest; main refuses threads before any verb (an empty table: KeyError)
+    # a bad --threads or --oversample, or any integer below its bound in
+    # cli._AT_LEAST, exits 2, by flag and by config key where one exists, with
+    # no CSV or manifest; main refuses the bounds before any verb (an empty
+    # table: KeyError), and each verb's own --oversample check stays
     ini, commands = tmp_path / "sweep.ini", cli._COMMANDS
-    for argv, key, value, message in (
-            ("decay --qs 2 --mode cyclic", "threads", "0", "workers must be >= 1, got 0"),
-            ("approx --ns 1000 --s 2", "threads", "0", "workers must be >= 1, got 0"),
-            ("unorm --N 64 --s 2", "threads", "-1", "workers must be >= 1, got -1"),
-            ("ineq --name u2 --N 16", "oversample", "1", "oversample must be >= 2, got 1"),
-            ("ww --N 64", "oversample", "0", "oversample must be >= 2, got 0")):
-        monkeypatch.setattr(cli, "_COMMANDS", {} if key == "threads" else commands)
+    for argv, key, value, ways, message in (
+            ("decay --qs 2 --mode cyclic", "threads", "0", "flag config",
+             "--threads must be >= 1, got 0"),
+            ("approx --ns 1000 --s 2", "threads", "0", "flag config",
+             "--threads must be >= 1, got 0"),
+            ("unorm --N 64 --s 2", "threads", "-1", "flag config",
+             "--threads must be >= 1, got -1"),
+            ("ineq --name u2 --N 16", "oversample", "1", "flag config",
+             "oversample must be >= 2, got 1"),
+            ("ww --N 64", "oversample", "0", "flag config", "oversample must be >= 2, got 0"),
+            ("unorm --s 2", "N", "0", "flag", "--N must be >= 1, got 0"),
+            ("approx --s 2", "ns", "0", "flag config", "--ns must be >= 1, got 0"),
+            ("ww", "ns", "0,64", "config", "--ns must be >= 1, got 0"),
+            ("rtt", "ns", "64,-1", "config", "--ns must be >= 1, got -1"),
+            ("decay --qs 2 --mode interval", "M", "0", "flag", "--M must be >= 1, got 0"),
+            ("ap --N 100", "q", "-3", "flag", "--q must be >= 1, got -3"),
+            ("ineq --name u2 --N 16", "trials", "0", "flag", "--trials must be >= 1, got 0"),
+            ("expect --qs 1,1,1,1,1,1,1,1", "samples", "-3", "flag",
+             "--samples must be >= 0, got -3")):
+        monkeypatch.setattr(cli, "_COMMANDS", {} if key != "oversample" else commands)
         ini.write_text(f"[sweep]\n{key} = {value}\n")
-        for extra in ([f"--{key}", value], ["--config", str(ini)]):
+        for way in ways.split():
+            extra = [f"--{key}", value] if way == "flag" else ["--config", str(ini)]
             assert run(tmp_path, *argv.split(), *extra) == 2
             assert f"precondition: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
@@ -234,6 +262,15 @@ def test_refusals_leave_no_output(tmp_path, capsys, monkeypatch):
         assert cli.main(args) == code, argv
         assert capsys.readouterr().err.startswith(message), argv
         assert not out.exists(), argv
+        assert afile.is_file(), argv
+    # an --out-dir that mkdir would refuse is refused before the verb runs (an
+    # empty table: KeyError), with mkdir's own error, and nothing is made
+    monkeypatch.setattr(cli, "_COMMANDS", {})
+    for out, message in ((afile, "[Errno 17] File exists"),
+                         (afile / "sub", "[Errno 20] Not a directory")):
+        argv = f"decay --qs 2 4 8 --M 8192 --mode interval --out-dir {out}"
+        assert cli.main(argv.split()) == 2, argv
+        assert capsys.readouterr().err.startswith(f"precondition: {message}"), argv
         assert afile.is_file(), argv
     assert not list(tmp_path.rglob("*.csv"))
     assert not list(tmp_path.rglob("manifest.jsonl"))

@@ -135,6 +135,16 @@ def test_workers_must_be_positive():
             gowers.gowers_normalized(f, 8, 2, workers=workers)
 
 
+def test_series_refuses_non_finite():
+    # a NaN or inf value would pass through every kernel into the CSV
+    for bad in (np.nan, np.inf, -np.inf):
+        for values in (np.array([1.0, bad, 2.0]), np.array([1.0, complex(bad, 0), 1j]),
+                       np.array([1.0, complex(0, bad), 1j])):
+            with pytest.raises(ValueError, match="finite"):
+                Series(values)
+    assert Series(np.array([1.0 + 2j, -3.0])).length == 2
+
+
 def test_brute_guards():
     with pytest.raises(ValueError):
         gowers.gowers_raw_bruteforce(Series(np.ones(200)), 3)
