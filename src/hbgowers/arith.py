@@ -1,8 +1,9 @@
 """Exact integer arithmetic: sieve tables, Ramanujan sums, real characters.
 
 Everything downstream (weight models, cube counts, averages) consumes the
-functions here, so this layer is kept exact: sieve tables are integer arrays,
-Ramanujan sums are evaluated by the divisor formula
+functions here, so this layer is kept exact: the sieve marks spf alone and
+derives mu, phi and Lambda from it by k = spf(k) m, and Ramanujan sums are
+evaluated by the divisor formula
 
     c_q(n) = sum_{d | gcd(q, n)} mu(q/d) * d,
 
@@ -36,6 +37,7 @@ _CACHE_MAGIC = b"HBG1"
 # desk machine, and the cache format stores the limit as an unsigned 64-bit
 # field well below this.
 _SIEVE_LIMIT_MAX = 2**31
+_SIEVE_STEP = 2**18  # entries per step of build_sieve's recurrence
 
 
 @dataclass
@@ -56,13 +58,13 @@ class SieveTables:
 def build_sieve(limit: int) -> SieveTables:
     """Sieve mu, phi, Lambda and smallest-prime-factor up to ``limit``.
 
-    One pass over the primes p <= isqrt(limit) slices every table at the
-    multiples of p: spf takes p where still unset, mu flips sign at p | n
-    and vanishes at p^2 | n, phi drops its factor 1/p, and ``rest`` loses
-    every power of p.  What is left in ``rest`` is 1 or the single prime
-    factor above sqrt(limit), which one masked step folds into mu and phi.
-    Lambda is log p from one vectorised log over all primes, copied to the
-    powers p^k (k >= 2) so that Lambda(p^k) == Lambda(p) bit for bit.
+    The primes p <= isqrt(limit) mark spf at their multiples from p^2 on;
+    an unmarked entry (a prime, 0 or 1) is its own spf, and Lambda(p) =
+    log p comes from one vectorised log.  Then k = p m with p = spf(k), in
+    steps [lo, hi) with hi <= min(2 lo, lo + 2^18), so m < lo is done:
+    mu(k) = 0 if spf(m) == p else -mu(m), phi(k) = phi(m) (p if spf(m) == p
+    else p - 1), and Lambda(k) = Lambda(m) if spf(m) == p, so Lambda(p^j)
+    == Lambda(p) bit for bit.
 
     Args:
         limit: inclusive upper bound, 1 <= limit <= 2^31.
@@ -77,37 +79,30 @@ def build_sieve(limit: int) -> SieveTables:
 
     n = limit
     spf = np.zeros(n + 1, dtype=np.int64)
-    mu = np.ones(n + 1, dtype=np.int8)
-    phi = np.arange(n + 1, dtype=np.int64)
-    rest = phi.copy()
-    small, powers = [], []
     for p in range(2, isqrt(n) + 1):
         if spf[p]:
             continue  # composite: its smallest prime already marked it
-        small.append(p)
-        view = spf[p::p]
+        view = spf[p * p :: p]
         view[view == 0] = p
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-        view = phi[p::p]
-        view -= view // p
-        pk = p
-        while pk <= n:
-            rest[pk::pk] //= p
-            powers.append(pk)
-            pk *= p
-    cofactor = rest > 1
-    mu[cofactor] *= -1
-    phi[cofactor] -= phi[cofactor] // rest[cofactor]
-    mu[0] = 0
-
-    large = np.flatnonzero(spf == 0)[2:]  # unmarked n >= 2 are primes > sqrt(n)
-    spf[large] = large
-    spf[1] = 1
+    unmarked = np.flatnonzero(spf == 0)
+    spf[unmarked] = unmarked
+    primes = unmarked[2:]  # past 0 and 1
     vm = np.zeros(n + 1, dtype=np.float64)
-    primes = np.concatenate([np.array(small, dtype=np.int64), large])
     vm[primes] = np.log(primes.astype(np.float64))
-    vm[powers] = vm[spf[powers]]
+
+    mu = np.zeros(n + 1, dtype=np.int8)
+    phi = np.zeros(n + 1, dtype=np.int64)
+    mu[1] = phi[1] = 1
+    lo = 2
+    while lo <= n:
+        hi = min(2 * lo, lo + _SIEVE_STEP, n + 1)
+        p = spf[lo:hi]
+        m = np.arange(lo, hi) // p
+        again = spf[m] == p
+        mu[lo:hi] = np.where(again, 0, -mu[m])
+        phi[lo:hi] = phi[m] * np.where(again, p, p - 1)
+        vm[lo:hi][again] = vm[m[again]]
+        lo = hi
 
     return SieveTables(limit=n, mobius=mu, totient=phi, vonmangoldt=vm, spf=spf)
 

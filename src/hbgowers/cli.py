@@ -10,6 +10,7 @@ Grammar for --weight (a key the kind does not take exits 2):
     hbsum:T=8              running total Lambda_{<=T}
     twist:q=3,sigma=0.9    Lambda_{<=T} twisted by (1 - n^{sigma-1} chi_q(n));
                            T from --T, defaulting to the N-adapted schedule
+                           (--T with any other weight exits 2)
 
 System grammar for --system / --system2 (likewise):
     rotation:alpha=sqrt2|sqrt3|sqrt5|golden|<float>[,x=0.25]
@@ -177,6 +178,10 @@ def _twist_params(spec: str) -> hb_model.TwistParams:
 
 
 def parse_weight(spec: str, N: int, T: int | None, cache_dir: str | None) -> gowers.Series:
+    if T is not None:  # --T is read only by twist: weights
+        if not spec.startswith("twist:"):
+            raise ValueError(f"--T applies only to twist: weights, got --weight {spec}")
+        hb_model._check_dyadic(T, "--T")
     try:
         if spec == "vonmangoldt":
             return hb_model.vonmangoldt_weight(_sieve_for(N, cache_dir), N)
@@ -464,8 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=0)
 
     sp = verb("ineq", "transfer inequality trials", *_WEIGHT_FLAGS, "--oversample", "--seed")
-    sp.add_argument("--name", default="all",
-                    choices=["all", "u2", "u3mod", "u4conv", "rtt", "double"])
+    sp.add_argument("--name", default="all", choices=["all", *INEQ_CONSTANTS])
     sp.add_argument("--trials", type=int, default=10)
 
     # ww and rtt sweep N only through the config's ns key
@@ -493,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
 # Integer lower bounds, checked by main before any verb.  Kept in the verbs: --oversample (ww's
 # is refused by averages.ww_sup_grid after the orbit is built, as perfbench counts), approx's
 # N caps, --mask's range, and decay's cyclic P_Q cap (it refuses before lambda_Q allocates).
-_AT_LEAST = {"N": 1, "ns": 1, "M": 1, "q": 1, "trials": 1, "threads": 1, "samples": 0}
+_AT_LEAST = {"N": 1, "ns": 1, "M": 1, "q": 1, "trials": 1, "threads": 1, "samples": 0,
+             "seed": 0}
 
 _COMMANDS = {
     "sieve": cmd_sieve, "unorm": cmd_unorm, "ap": cmd_ap, "cube": cmd_cube,

@@ -38,6 +38,7 @@ from hbgowers.arith import (
     is_squarefree,
     mobius_int,
     ramanujan_table,
+    real_character,
     totient_int,
 )
 from hbgowers.gowers import Series
@@ -205,8 +206,6 @@ def ap_twisted_main_term(a: int, q: int, n_prime: int, params: TwistParams) -> f
         raise ValueError(f"need 1 <= a <= q, got a={a}, q={q}")
     if q % params.q0 != 0 or gcd(a, q) != 1:
         return 0.0
-    from hbgowers.arith import real_character
-
     chi_a = real_character(params.q0, a)
     return chi_a * n_prime**params.sigma / (params.sigma * totient_int(q))
 

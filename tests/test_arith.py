@@ -1,5 +1,7 @@
 """Sieve tables, Ramanujan sums, and real characters against slow oracles."""
 
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ def mobius_trial(n: int) -> int:
 
 
 def totient_trial(n: int) -> int:
-    return sum(1 for k in range(1, n + 1) if np.gcd(k, n) == 1)
+    return int(np.count_nonzero(np.gcd(np.arange(1, n + 1), n) == 1))
 
 
 def vonmangoldt_trial(n: int) -> float:
@@ -79,7 +81,7 @@ def test_sieve_small_fixtures(tables):
 
 def test_sieve_every_small_limit():
     # every limit 1..200 crosses the isqrt boundary (p^2 - 1, p^2, p^2 + 1)
-    # and the step for the prime cofactor above sqrt(limit)
+    # and ends inside a step of the mu/phi/Lambda recurrence
     top = 200
     mu = [0] + [mobius_trial(n) for n in range(1, top + 1)]
     phi = [0] + [totient_trial(n) for n in range(1, top + 1)]
@@ -100,6 +102,27 @@ def test_sieve_every_small_limit():
                 while pk <= limit:
                     assert t.vonmangoldt[pk].tobytes() == t.vonmangoldt[p].tobytes(), (limit, pk)
                     pk *= p
+
+
+def test_sieve_across_capped_steps():
+    # past 2^19 each step of the recurrence is cut at arith._SIEVE_STEP entries
+    # instead of doubling; check every n within 2 of each step boundary and
+    # each power of two, and a seeded sample, against the trial oracles
+    step = arith._SIEVE_STEP
+    limit = 3 * step + 3
+    t = arith.build_sieve(limit)
+    bounds = [1 << j for j in range(limit.bit_length())] + [2 * step, 3 * step, limit + 1]
+    near = {b + d for b in bounds for d in range(-2, 3)}
+    sample = np.random.default_rng(7).integers(2, limit + 1, 12).tolist()
+    for n in sorted({n for n in near if 1 <= n <= limit} | set(sample)):
+        assert t.mobius[n] == mobius_trial(n), n
+        assert t.totient[n] == totient_trial(n), n
+        assert abs(t.vonmangoldt[n] - vonmangoldt_trial(n)) < 1e-12, n
+    for p in np.flatnonzero(t.spf[: isqrt(limit) + 1] == np.arange(isqrt(limit) + 1))[2:]:
+        pk = int(p) ** 2
+        while pk <= limit:
+            assert t.vonmangoldt[pk].tobytes() == t.vonmangoldt[p].tobytes(), pk
+            pk *= int(p)
 
 
 def test_sieve_limit_guard():

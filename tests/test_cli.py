@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import hbgowers
-from hbgowers import arith, averages, cli, cube, gowers
+from hbgowers import arith, averages, cli, cube, gowers, hb_model
 
 
 def run(tmp_path, *argv):
@@ -221,7 +221,9 @@ def test_exit_two_bad_threads_or_oversample(tmp_path, capsys, monkeypatch):
             ("ap --N 100", "q", "-3", "flag", "--q must be >= 1, got -3"),
             ("ineq --name u2 --N 16", "trials", "0", "flag", "--trials must be >= 1, got 0"),
             ("expect --qs 1,1,1,1,1,1,1,1", "samples", "-3", "flag",
-             "--samples must be >= 0, got -3")):
+             "--samples must be >= 0, got -3"),
+            ("ineq --name u2 --N 16", "seed", "-1", "flag", "--seed must be >= 0, got -1"),
+            ("expect --samples 2", "seed", "-4", "flag", "--seed must be >= 0, got -4")):
         monkeypatch.setattr(cli, "_COMMANDS", {} if key != "oversample" else commands)
         ini.write_text(f"[sweep]\n{key} = {value}\n")
         for way in ways.split():
@@ -230,6 +232,34 @@ def test_exit_two_bad_threads_or_oversample(tmp_path, capsys, monkeypatch):
             assert f"precondition: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
     assert not (tmp_path / "manifest.jsonl").exists()
+
+
+def test_exit_two_bad_T(tmp_path, capsys, monkeypatch):
+    # --T is read only by twist: weights, so with any other weight it exits 2,
+    # and a bad --T on a twist weight names the flag, not the spec; both are
+    # refused before any weight is built (the builders are gone: TypeError)
+    argv = "ap --weight twist:q=3,sigma=0.9 --T 64 --N 3000 --q 6"
+    assert run(tmp_path, *argv.split()) == 0
+    (tmp_path / "ap_q6_N3000.csv").unlink()
+    (tmp_path / "manifest.jsonl").unlink()
+    monkeypatch.setattr(cli, "_sieve_for", None)
+    for name in ("lambda_Q", "lambda_leq", "twist"):
+        monkeypatch.setattr(hb_model, name, None)
+    twist = "twist:q=3,sigma=0.9"
+    for argv, message in (
+            ("unorm --N 64 --s 2 --weight hb:Q=4 --T -5",
+             "--T applies only to twist: weights, got --weight hb:Q=4"),
+            ("ap --N 100 --weight hbsum:T=4 --T 8",
+             "--T applies only to twist: weights, got --weight hbsum:T=4"),
+            ("ineq --name u2 --N 16 --weight vonmangoldt --T 4",
+             "--T applies only to twist: weights, got --weight vonmangoldt"),
+            (f"unorm --N 64 --s 2 --weight {twist} --T 3",
+             "--T must be a power of two >= 1, got 3"),
+            (f"ww --N 64 --weight {twist} --T -5", "--T must be a power of two >= 1, got -5"),
+            (f"rtt --N 64 --weight {twist} --T 128", "--T=128 refused (--T <= 64)")):
+        assert run(tmp_path, *argv.split()) == 2, argv
+        assert capsys.readouterr().err == f"precondition: {message}\n", argv
+    assert not list(tmp_path.iterdir())
 
 
 def test_refusals_leave_no_output(tmp_path, capsys, monkeypatch):
