@@ -111,7 +111,7 @@ def test_sieve_across_capped_steps():
     step = arith._SIEVE_STEP
     limit = 3 * step + 3
     t = arith.build_sieve(limit)
-    bounds = [1 << j for j in range(limit.bit_length())] + [2 * step, 3 * step, limit + 1]
+    bounds = [1 << j for j in range(limit.bit_length())] + [3 * step, limit + 1]
     near = {b + d for b in bounds for d in range(-2, 3)}
     sample = np.random.default_rng(7).integers(2, limit + 1, 12).tolist()
     for n in sorted({n for n in near if 1 <= n <= limit} | set(sample)):
