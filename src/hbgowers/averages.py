@@ -232,7 +232,7 @@ class IneqResult:
 
     @property
     def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs else np.inf
+        return self.lhs / self.rhs if self.rhs else (np.inf if self.lhs else 0.0)
 
 
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -294,7 +294,8 @@ def ineq_u3_modulated(f: np.ndarray, w: np.ndarray, N: int, *,
     f, w = np.asarray(f), np.asarray(w)
     L = oversample * N
     u = _shift_matrix(f, N)
-    pad = np.zeros((gowers._batches(0, 2 * N, L)[0][1], L), dtype=complex)  # the largest batch
+    plan = [(0, 2 * N, L)]
+    pad = np.zeros((gowers._plan_rows(plan), L), dtype=complex)
     spec = np.empty_like(pad)
     mod = np.empty(pad.shape)
 
@@ -302,7 +303,7 @@ def ineq_u3_modulated(f: np.ndarray, w: np.ndarray, N: int, *,
         np.multiply(u[a:b], w[:N], out=pad[: b - a, 1 : N + 1])
         return np.max(_grid_modulus(pad[: b - a], spec[: b - a], mod[: b - a]), axis=1)
 
-    sup = gowers._run_rows([(0, 2 * N, L)], sup_rows)
+    sup = gowers._run_rows(plan, sup_rows)
     acc = 0.0
     for lo in range(0, 2 * N, 256):
         acc += float(np.sum((sup[lo : lo + 256] / N) ** 4))
@@ -331,9 +332,9 @@ def ineq_rtt(f: np.ndarray, w: np.ndarray, g_family: np.ndarray, N: int) -> Ineq
         raise ValueError(f"g_family must have shape (2N, N) = {(2 * N, N)}")
     u = _shift_matrix(f, N)
     size = gowers._fft_length(N)
-    first = gowers._batches(0, 2 * N, size)[0][1]  # rows of the first batch, the largest
-    rows = np.empty((first, N), dtype=np.result_type(f, w))
-    U = np.empty((first, size), dtype=complex)
+    plan = [(0, 2 * N, size)]
+    rows = np.empty((gowers._plan_rows(plan), N), dtype=np.result_type(f, w))
+    U = np.empty((len(rows), size), dtype=complex)
     G = np.empty_like(U)
 
     def inner_rows(a: int, b: int, n: int) -> np.ndarray:
@@ -345,7 +346,7 @@ def ineq_rtt(f: np.ndarray, w: np.ndarray, g_family: np.ndarray, N: int) -> Ineq
         conv = np.fft.ifft(U[:m], axis=1, out=U[:m])  # index y-2 over y = 2..2N
         return np.sum(np.abs(conv[:, : N - 1] / N) ** 2, axis=1) / N  # y <= N
 
-    inner = gowers._run_rows([(0, 2 * N, size)], inner_rows)
+    inner = gowers._run_rows(plan, inner_rows)
     lhs = float(np.mean(inner**2))
     return IneqResult(lhs, _norm_pow(w[:N], N, 3, 4))
 

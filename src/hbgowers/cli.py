@@ -22,12 +22,13 @@ Verbs compute and main records: main alone writes the one CSV a verb returns
 record (timestamps, parameters, stats, CSV digest) to ``manifest.jsonl``, in
 --out-dir, made only after the verb returns.
 
-The U^3 cost model sums n log2 n per shift over the kernel's own FFT-length
-buckets, scaled by a startup probe at L = 1024; work estimated over
---budget-seconds is refused with exit code 3 before any heavy allocation.  A
-budget that is NaN, infinite, zero or negative, an integer below its _AT_LEAST
-bound (by flag or config) and an --out-dir that mkdir would refuse exit 2
-before any verb runs; --oversample below 2 exits 2 from the verb.
+The U^3 cost model is gowers._plan_work (rows * n log2 n per bucket) of the
+kernel's own plan gowers._u3_buckets, scaled by a startup probe at L = 1024;
+work over --budget-seconds is refused with exit code 3 before any heavy
+allocation.  A budget that is NaN, infinite, zero or negative, an integer
+below its _AT_LEAST bound (by flag or config) and an --out-dir that mkdir
+would refuse exit 2 before any verb runs; --oversample below 2 exits 2 from
+the verb.
 
 Each verb takes --config and --out-dir plus only the flags it reads; any other
 flag is refused by argparse with exit code 2.  --config reads the INI [sweep]
@@ -67,25 +68,20 @@ class BudgetExceeded(Exception):
 # cost model
 
 
-def _u3_work(N: int) -> float:
-    """FFT work of gowers_u3_fast at length N: sum of rows * n log2 n over its buckets."""
-    return sum((end - lo) * n * log2(n) for lo, end, n in gowers._u3_buckets(N))
-
-
 @functools.cache
 def _u3_coeff() -> float:
-    """Seconds per unit of :func:`_u3_work`: the best of three L = 1024 runs, two warm."""
+    """Seconds per unit of gowers._plan_work: the best of three L = 1024 runs, two warm."""
     probe = gowers.Series(np.random.default_rng(0).standard_normal(1024))
     times = []
     for _ in range(3):
         t0 = time.perf_counter()
         gowers.gowers_u3_fast(probe)
         times.append(time.perf_counter() - t0)
-    return min(times) / _u3_work(1024)
+    return min(times) / gowers._plan_work(gowers._u3_buckets(1024))
 
 
 def estimate_u3_seconds(N: int) -> float:
-    return _u3_coeff() * _u3_work(N)
+    return _u3_coeff() * gowers._plan_work(gowers._u3_buckets(N))
 
 
 def check_budget(estimate: float, budget: float, what: str) -> None:

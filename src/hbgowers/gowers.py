@@ -26,7 +26,10 @@ counted twice when the rows are real):
 One driver, :func:`_run_rows`, runs every row kernel, here and in averages,
 over a plan of (lo, end, n) buckets, each cut by the one rule :func:`_batches`
 into batches of about _BATCH_POINTS points; each row's value is computed on
-its own, so the batch size and the thread count never move a number.
+its own, so the batch size and the thread count never move a number.  Two
+readers of a plan stand beside it: :func:`_plan_work`, the FFT work the cli
+cost model prices, and :func:`_plan_rows`, the rows of the largest batch,
+which sizes the buffers the averages kernels reuse across batches.
 
 The brute-force evaluator walks the h-tuples of the definition literally and
 is the oracle the fast paths are tested against.
@@ -42,6 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import log2
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -180,6 +184,16 @@ def _u3_buckets(L: int) -> list[tuple[int, int, int]]:
         buckets.append((lo, L - n // 4, n))
         lo = L - n // 4
     return buckets
+
+
+def _plan_work(plan: list[tuple[int, int, int]]) -> float:
+    """FFT work of a plan: the sum of rows * n log2 n over its buckets (lo, end, n)."""
+    return sum((end - lo) * n * log2(n) for lo, end, n in plan)
+
+
+def _plan_rows(plan: list[tuple[int, int, int]]) -> int:
+    """Rows of the largest batch :func:`_batches` cuts from a plan's buckets."""
+    return max(b - a for lo, end, n in plan for a, b in _batches(lo, end, n))
 
 
 def _run_rows(plan: list[tuple[int, int, int]], rows_fn, workers: int = 1) -> np.ndarray:

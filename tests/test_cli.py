@@ -3,12 +3,12 @@ manifest records, caching, and config files."""
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
 import subprocess
 import sys
-from math import log2
 from pathlib import Path
 
 import numpy as np
@@ -153,21 +153,6 @@ def test_exit_three_decay_budget(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "budget" in err and P in err
         assert not (tmp_path / "decay_interval.csv").exists()
-
-
-def test_u3_work_sums_the_chunks():
-    # the cost model prices the kernel's own plan: summing its buckets gives
-    # the same work as summing every batch the row driver runs on that plan
-    for L in [*range(1, 71), 700, 3000]:
-        batches = []
-
-        def record(a, b, n):
-            batches.append((a, b, n))
-            return np.zeros(b - a)
-
-        gowers._run_rows(gowers._u3_buckets(L), record)
-        work = sum((b - a) * n * log2(n) for a, b, n in batches)
-        assert cli._u3_work(L) == work, L
 
 
 def test_exit_three_unorm_budget(tmp_path, capsys):
@@ -430,6 +415,23 @@ def test_ineq_verb(tmp_path):
     assert len(lines) == 4
 
 
+def test_ineq_zero_weight_ratio(tmp_path):
+    # chi_1 = 1 and sigma = 1 make the twist factor, so the whole weight, 0:
+    # both sides are 0 and the ratio is 0.0, not an inf strict JSON refuses
+    assert run(tmp_path, "ineq", "--weight", "twist:q=1,sigma=1", "--N", "64",
+               "--trials", "1") == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    line = (tmp_path / "manifest.jsonl").read_text().splitlines()[-1]
+    stats = json.loads(line, parse_constant=refuse)["stats"]
+    assert (stats["violations"], stats["max_ratio"]) == (0, 0.0)
+    rows = (tmp_path / "ineq_all_N64.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["0.0"] * 5
+    assert averages.IneqResult(1e-300, 0.0).ratio == np.inf  # lhs > 0 = rhs
+
+
 def test_ineq_rhs_once_per_weight(tmp_path, monkeypatch):
     calls = []
 
@@ -587,6 +589,19 @@ def test_verb_flags():
            for verb, sp in sub.choices.items()}
     assert got == {verb: {"--config", "--out-dir", *flags.split()}
                    for verb, flags in VERB_FLAGS.items()}
+
+
+def test_experiment_steps_parse(tmp_path):
+    # every step of both profiles of scripts/run_experiments.py parses, and
+    # the steps cover every verb; no verb runs
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_experiments", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    parser = cli.build_parser()
+    verbs = {parser.parse_args([*argv, "--out-dir", str(tmp_path)]).verb
+             for full in (False, True) for _, argv, _ in script.steps(tmp_path, full)}
+    assert verbs == set(cli._COMMANDS)
 
 
 def test_config_file_missing(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Gowers norms: brute force vs FFT paths, normalizers, invariances."""
 
+from math import log2
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,18 +114,27 @@ def test_batch_budget_does_not_change_values(monkeypatch, points):
 def test_run_rows_writes_every_row_once(monkeypatch, points):
     # a rows_fn that returns its row indices (or -1 where n is not the row's
     # bucket length) gives 0, 1, ..., end - 1 only if every row of the plan is
-    # written exactly once, over uneven last batches and for any worker count
+    # written exactly once, over uneven last batches and for any worker count.
+    # The plan's readers see the batches the driver runs: the cost model's
+    # _plan_work is their sum, the reused buffers' _plan_rows their largest
     if points is not None:
         monkeypatch.setattr(gowers, "_BATCH_POINTS", points)
-    for plan in (gowers._u3_buckets(700), gowers._u3_buckets(3000), [(0, 257, 3 * 257)]):
+    plans = [gowers._u3_buckets(L) for L in (*range(1, 71), 700, 3000)]
+    for plan in (*plans, [(0, 257, 3 * 257)]):
         end = plan[-1][1]
         bucket_n = np.concatenate([np.full(hi - lo, n) for lo, hi, n in plan])
+        batches = []
 
         def rows_fn(a, b, n):
+            batches.append((a, b, n))
             return np.where(bucket_n[a:b] == n, np.arange(a, b), -1)
 
         for workers in (1, 2, 3):
+            batches.clear()
             assert (gowers._run_rows(plan, rows_fn, workers) == np.arange(end)).all()
+            batches.sort()  # the order the pool ran them in is not fixed
+            assert gowers._plan_work(plan) == sum((b - a) * n * log2(n) for a, b, n in batches)
+            assert gowers._plan_rows(plan) == max(b - a for a, b, _ in batches)
 
 
 def test_workers_must_be_positive():
