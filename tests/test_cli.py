@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+from math import log2
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,22 @@ def test_exit_three_decay_budget(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "budget" in err and P in err
         assert not (tmp_path / "decay_interval.csv").exists()
+
+
+def test_u3_work_sums_the_chunks(monkeypatch):
+    # the cost model prices the kernel's own plan: at one second per unit its
+    # estimate is the work summed over every batch the row driver runs
+    monkeypatch.setattr(cli, "_u3_coeff", lambda: 1.0)
+    for L in [*range(1, 71), 700, 3000]:
+        batches = []
+
+        def record(a, b, n):
+            batches.append((a, b, n))
+            return np.zeros(b - a)
+
+        gowers._run_rows(gowers._u3_buckets(L), record)
+        work = sum((b - a) * n * log2(n) for a, b, n in batches)
+        assert cli.estimate_u3_seconds(L) == work, L
 
 
 def test_exit_three_unorm_budget(tmp_path, capsys):
