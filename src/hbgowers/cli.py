@@ -4,7 +4,12 @@ Verbs: sieve, unorm, ap, cube, expect, ineq, ww, rtt, decay, approx.
 Exit codes: 0 success, 2 precondition violation (bad input or an unusable
 path), 3 over the time budget.
 
-Grammar for --weight (a key the kind does not take exits 2):
+A spec is ``kind:key=value,...``; ``kind:`` with no keys reads as ``kind``.
+A kind's keys are its builder's parameters, so a key the builder does not
+take, a key it needs that is missing, a key given twice or an item with no
+``=`` exits 2.
+
+Grammar for --weight:
     vonmangoldt            sieved Lambda up to N (uses --cache-dir if given)
     hb:Q=8                 dyadic block weight Lambda_Q
     hbsum:T=8              running total Lambda_{<=T}
@@ -12,7 +17,7 @@ Grammar for --weight (a key the kind does not take exits 2):
                            T from --T, defaulting to the N-adapted schedule
                            (--T with any other weight exits 2)
 
-System grammar for --system / --system2 (likewise):
+System grammar for --system / --system2:
     rotation:alpha=sqrt2|sqrt3|sqrt5|golden|<float>[,x=0.25]
     doubling:x=sqrt2       (also sqrt3, sqrt5, golden, p/q, or a finite float)
     signs:seed=7
@@ -26,9 +31,9 @@ The U^3 cost model is gowers._plan_work (rows * n log2 n per bucket) of the
 kernel's own plan gowers._u3_buckets, scaled by a startup probe at L = 1024;
 work over --budget-seconds is refused with exit code 3 before any heavy
 allocation.  A budget that is NaN, infinite, zero or negative, an integer
-below its _AT_LEAST bound (by flag or config) and an --out-dir that mkdir
-would refuse exit 2 before any verb runs; --oversample below 2 exits 2 from
-the verb.
+below its _AT_LEAST bound (by flag, or by config key for ns and threads) and
+an --out-dir that mkdir would refuse exit 2 before any verb runs;
+--oversample below 2 and a repeated decay --qs entry exit 2 from the verb.
 
 Each verb takes --config and --out-dir plus only the flags it reads; any other
 flag is refused by argparse with exit code 2.  --config reads the INI [sweep]
@@ -46,6 +51,7 @@ import configparser
 import errno
 import functools
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -108,10 +114,16 @@ def _read_config(path: str) -> dict:
     try:
         if not parser.read(path):
             raise ValueError(f"config file {path} not found or unreadable")
-        sec = parser["sweep"] if parser.has_section("sweep") else parser["DEFAULT"]
-        values = {key: parse(sec[key]) for key, parse in _CONFIG_KEYS.items() if key in sec}
     except configparser.Error as exc:  # no section header, a repeated key, ...
         raise ValueError(f"bad config file {path}: {exc}") from exc
+    sec = parser["sweep"] if parser.has_section("sweep") else parser["DEFAULT"]
+    values = {}
+    for key, parse in _CONFIG_KEYS.items():
+        if key in sec:
+            try:
+                values[key] = parse(sec[key])
+            except (configparser.Error, ValueError) as exc:  # a bad interpolation or number
+                raise ValueError(f"bad config file {path}: {key}: {exc}") from exc
     return {key: value for key, value in values.items() if value not in ([], "")}
 
 
@@ -132,18 +144,27 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 # weight / system parsing
 
 
-def _parse_kv(body: str, *keys: str) -> dict[str, str]:
-    """The key=value pairs of a spec body; with ``keys`` given, any other key is refused."""
-    out = {}
-    for item in body.split(","):
-        if item:
-            if "=" not in item:
-                raise ValueError(f"malformed parameter {item!r}")
-            k, v = (part.strip() for part in item.split("=", 1))
-            if keys and k not in keys:
-                raise ValueError(f"unknown parameter {k!r}")
-            out[k] = v
-    return out
+def _read_spec(spec: str, what: str, kinds: dict):
+    """Build ``kind:key=value,...`` with ``kinds[kind]``, whose parameters are the kind's keys."""
+    kind, _, body = spec.partition(":")
+    build = kinds.get(kind)
+    if build is None:
+        raise ValueError(f"unknown {what} spec {spec!r}")
+    params = inspect.signature(build).parameters
+    try:
+        kv = {}
+        for item in filter(None, body.split(",")):
+            key, eq, value = (part.strip() for part in item.partition("="))
+            if not eq or key in kv:
+                raise ValueError(f"{'repeated' if eq else 'malformed'} parameter {key!r}")
+            kv[key] = value
+        for key in [k for k in kv if k not in params]:
+            raise ValueError(f"unknown parameter {key!r}")
+        for key in [k for k, p in params.items() if p.default is p.empty and k not in kv]:
+            raise ValueError(f"missing parameter {key!r}")
+        return build(**kv)
+    except ValueError as exc:  # a defective key, or a value the builder refuses
+        raise ValueError(f"bad {what} spec {spec!r}: {exc}") from exc
 
 
 _sieve_memo: dict[int, arith.SieveTables] = {}
@@ -168,41 +189,29 @@ def _sieve_for(N: int, cache_dir: str | None) -> arith.SieveTables:
     return tables
 
 
-def _twist_params(spec: str) -> hb_model.TwistParams:
-    kv = _parse_kv(spec[6:], "q", "sigma")
-    return hb_model.TwistParams(q0=int(kv["q"]), sigma=float(kv["sigma"]))
+def _twist_params(q: str, sigma: str) -> hb_model.TwistParams:
+    return hb_model.TwistParams(q0=int(q), sigma=float(sigma))
 
 
 def parse_weight(spec: str, N: int, T: int | None, cache_dir: str | None) -> gowers.Series:
     if T is not None:  # --T is read only by twist: weights
-        if not spec.startswith("twist:"):
+        if spec.partition(":")[0] != "twist":
             raise ValueError(f"--T applies only to twist: weights, got --weight {spec}")
         hb_model._check_dyadic(T, "--T")
-    try:
-        if spec == "vonmangoldt":
-            return hb_model.vonmangoldt_weight(_sieve_for(N, cache_dir), N)
-        if spec.startswith("hb:"):
-            return hb_model.lambda_Q(int(_parse_kv(spec[3:], "Q")["Q"]), N)
-        if spec.startswith("hbsum:"):
-            return hb_model.lambda_leq(int(_parse_kv(spec[6:], "T")["T"]), N)
-        if spec.startswith("twist:"):
-            T_eff = T if T is not None else hb_model.q_schedule(N)
-            return hb_model.twist(hb_model.lambda_leq(T_eff, N), _twist_params(spec))
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad weight spec {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown weight spec {spec!r}")
+    return _read_spec(spec, "weight", {
+        "vonmangoldt": lambda: hb_model.vonmangoldt_weight(_sieve_for(N, cache_dir), N),
+        "hb": lambda Q: hb_model.lambda_Q(int(Q), N),
+        "hbsum": lambda T: hb_model.lambda_leq(int(T), N),  # the spec's T, not --T
+        "twist": lambda q, sigma: hb_model.twist(
+            hb_model.lambda_leq(hb_model.q_schedule(N) if T is None else T, N),
+            _twist_params(q, sigma)),
+    })
 
 
 def parse_system(spec: str) -> averages.SystemDescriptor:
-    kind, _, body = spec.partition(":")
-    build = {"rotation": averages.rotation, "doubling": averages.doubling,
-             "signs": averages.random_signs}.get(kind)
-    if build is None:
-        raise ValueError(f"unknown system spec {spec!r}")
-    try:
-        return build(**_parse_kv(body))
-    except (TypeError, ValueError) as exc:  # an unknown or missing key, a bad value
-        raise ValueError(f"bad system spec {spec!r}: {exc}") from exc
+    return _read_spec(spec, "system", {"rotation": averages.rotation,
+                                       "doubling": averages.doubling,
+                                       "signs": averages.random_signs})
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +243,8 @@ def cmd_unorm(args) -> tuple[dict, tuple | None]:
 
 def cmd_ap(args) -> tuple[dict, tuple | None]:
     w = parse_weight(args.weight, args.N, args.T, args.cache_dir)
-    params = _twist_params(args.weight) if args.weight.startswith("twist:") else None
+    twisted = args.weight.partition(":")[0] == "twist"
+    params = _read_spec(args.weight, "weight", {"twist": _twist_params}) if twisted else None
     rows = []
     worst = 0.0
     for a in range(1, args.q + 1):
@@ -359,6 +369,8 @@ def cmd_rtt(args) -> tuple[dict, tuple | None]:
 
 
 def cmd_decay(args) -> tuple[dict, tuple | None]:
+    if len(set(args.qs)) < len(args.qs):  # one Q twice would fit a slope at one log2 Q
+        raise ValueError(f"--qs must not repeat an entry, got {args.qs}")
     rows = []
     premise = {}
     for Q in args.qs:
@@ -492,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Integer lower bounds, checked by main before any verb.  Kept in the verbs: --oversample (ww's
 # is refused by averages.ww_sup_grid after the orbit is built, as perfbench counts), approx's
-# N caps, --mask's range, and decay's cyclic P_Q cap (it refuses before lambda_Q allocates).
+# N caps, --mask's range, decay's cyclic P_Q cap (it refuses before lambda_Q allocates) and
+# decay's refusal of a repeated --qs entry (expect's --qs are moduli, which may repeat).
 _AT_LEAST = {"N": 1, "ns": 1, "M": 1, "q": 1, "trials": 1, "threads": 1, "samples": 0,
              "seed": 0}
 

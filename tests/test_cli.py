@@ -77,6 +77,63 @@ def test_exit_two_bad_system(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.glob("*.csv"))
 
 
+SPEC_FLAG = {"weight": "unorm --N 64 --s 2 --weight", "system": "ww --N 64 --system"}
+
+
+@pytest.mark.parametrize("what, spec, message", [
+    ("weight", "vonmangoldt:x", "malformed parameter 'x'"),
+    ("weight", "vonmangoldt:x=1,x=2", "repeated parameter 'x'"),
+    ("weight", "vonmangoldt:x=1", "unknown parameter 'x'"),
+    ("weight", "hb:Q=8,8", "malformed parameter '8'"),
+    ("weight", "hb:Q=8,Q=16", "repeated parameter 'Q'"),
+    ("weight", "hb:Q=8,T=2", "unknown parameter 'T'"),
+    ("weight", "hb:", "missing parameter 'Q'"),
+    ("weight", "hbsum:T", "malformed parameter 'T'"),
+    ("weight", "hbsum:T=4, T=4", "repeated parameter 'T'"),
+    ("weight", "hbsum:Q=4", "unknown parameter 'Q'"),
+    ("weight", "hbsum", "missing parameter 'T'"),
+    ("weight", "twist:q=3,sigma", "malformed parameter 'sigma'"),
+    ("weight", "twist:q=3,q=5,sigma=0.9", "repeated parameter 'q'"),
+    ("weight", "twist:q=3,sigma=0.9,T=64", "unknown parameter 'T'"),
+    ("weight", "twist:sigma=0.9", "missing parameter 'q'"),
+    ("weight", "lambda:Q=8", None),
+    ("system", "rotation:alpha=0.1,x", "malformed parameter 'x'"),
+    ("system", "rotation:alpha=0.1,alpha=0.2", "repeated parameter 'alpha'"),
+    ("system", "rotation:alpha=0.1,y=1", "unknown parameter 'y'"),
+    ("system", "rotation:x=0.25", "missing parameter 'alpha'"),
+    ("system", "doubling:x", "malformed parameter 'x'"),
+    ("system", "doubling:x=1/3,x=1/5", "repeated parameter 'x'"),
+    ("system", "doubling:y=0.5", "unknown parameter 'y'"),
+    ("system", "signs:seed", "malformed parameter 'seed'"),
+    ("system", "signs:seed=7,seed=8", "repeated parameter 'seed'"),
+    ("system", "signs:seed=7,x=0", "unknown parameter 'x'"),
+    ("system", "signs:", "missing parameter 'seed'"),
+    ("system", "bernoulli:p=0.5", None),
+])
+def test_exit_two_bad_spec_key(tmp_path, capsys, what, spec, message):
+    # every spec is read by one reader: a kind's keys are its builder's
+    # parameters, and a malformed, repeated, unknown or missing key, or an
+    # unknown kind (message None), exits 2 with no output and names no builder
+    assert run(tmp_path, *SPEC_FLAG[what].split(), spec) == 2
+    err = capsys.readouterr().err
+    if message is None:
+        assert err == f"precondition: unknown {what} spec '{spec}'\n"
+    else:
+        assert err == f"precondition: bad {what} spec '{spec}': {message}\n"
+    assert "<locals>" not in err and "<lambda>" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", ["unorm --N 64 --s 2 --weight vonmangoldt",
+                                  "ww --N 64 --system doubling"])
+def test_empty_spec_body_reads_as_kind(tmp_path, argv):
+    # "kind:" with no keys builds what "kind" builds, for weights and systems alike
+    for out, end in ((tmp_path / "bare", ""), (tmp_path / "colon", ":")):
+        assert run(out, *f"{argv}{end}".split()) == 0, end
+    [bare], [colon] = (list((tmp_path / d).glob("*.csv")) for d in ("bare", "colon"))
+    assert bare.read_bytes() == colon.read_bytes()
+
+
 @pytest.mark.parametrize("q", ["0", "-3"])
 def test_exit_two_bad_ap_modulus(tmp_path, capsys, q):
     assert run(tmp_path, "ap", "--q", q, "--N", "100") == 2
@@ -200,10 +257,11 @@ def test_exit_two_nan_budget(tmp_path, capsys):
 
 
 def test_exit_two_bad_threads_or_oversample(tmp_path, capsys, monkeypatch):
-    # a bad --threads or --oversample, or any integer below its bound in
-    # cli._AT_LEAST, exits 2, by flag and by config key where one exists, with
-    # no CSV or manifest; main refuses the bounds before any verb (an empty
-    # table: KeyError), and each verb's own --oversample check stays
+    # a bad --threads or --oversample, any integer below its bound in
+    # cli._AT_LEAST, or a repeated decay --qs entry, exits 2, by flag and by
+    # config key where one exists, with no CSV or manifest; main refuses the
+    # bounds before any verb (an empty table: KeyError), and each verb's own
+    # --oversample check and decay's --qs check stay
     ini, commands = tmp_path / "sweep.ini", cli._COMMANDS
     for argv, key, value, ways, message in (
             ("decay --qs 2 --mode cyclic", "threads", "0", "flag config",
@@ -225,11 +283,16 @@ def test_exit_two_bad_threads_or_oversample(tmp_path, capsys, monkeypatch):
             ("expect --qs 1,1,1,1,1,1,1,1", "samples", "-3", "flag",
              "--samples must be >= 0, got -3"),
             ("ineq --name u2 --N 16", "seed", "-1", "flag", "--seed must be >= 0, got -1"),
-            ("expect --samples 2", "seed", "-4", "flag", "--seed must be >= 0, got -4")):
-        monkeypatch.setattr(cli, "_COMMANDS", {} if key != "oversample" else commands)
+            ("expect --samples 2", "seed", "-4", "flag", "--seed must be >= 0, got -4"),
+            ("decay --M 64 --mode interval", "qs", "4,4", "flag config",
+             "--qs must not repeat an entry, got [4, 4]"),
+            ("decay --mode cyclic", "qs", "2,4,2", "flag config",
+             "--qs must not repeat an entry, got [2, 4, 2]")):
+        in_verb = key in ("oversample", "qs")
+        monkeypatch.setattr(cli, "_COMMANDS", commands if in_verb else {})
         ini.write_text(f"[sweep]\n{key} = {value}\n")
         for way in ways.split():
-            extra = [f"--{key}", value] if way == "flag" else ["--config", str(ini)]
+            extra = [f"--{key}", *value.split(",")] if way == "flag" else ["--config", str(ini)]
             assert run(tmp_path, *argv.split(), *extra) == 2
             assert f"precondition: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
@@ -274,6 +337,8 @@ def test_refusals_leave_no_output(tmp_path, capsys, monkeypatch):
     no_header, repeated = tmp_path / "no_header.ini", tmp_path / "repeated.ini"
     no_header.write_text("threads = 2\n")
     repeated.write_text("[sweep]\nthreads = 2\nthreads = 3\n")
+    bad_value = tmp_path / "bad_value.ini"
+    bad_value.write_text("[sweep]\noversample = 8.0\n")
     for argv, code, message in (
             ("decay --qs 32 --mode interval", 3, "budget: interval U^3 at M="),
             (f"cube --mask 3 --out-dir {afile}", 2, "precondition: [Errno 17] File exists"),
@@ -283,6 +348,8 @@ def test_refusals_leave_no_output(tmp_path, capsys, monkeypatch):
              "precondition: bad config file"),
             (f"unorm --N 64 --s 2 --config {repeated}", 2,
              "precondition: bad config file"),
+            (f"ww --N 16 --config {bad_value}", 2,
+             f"precondition: bad config file {bad_value}: oversample: invalid literal"),
             ("unorm --N 64 --s 2 --weight hb:Q", 2,
              "precondition: bad weight spec 'hb:Q': malformed parameter 'Q'"),
             ("ww --N 64 --system rotation:alpha", 2,
