@@ -167,6 +167,16 @@ def _read_spec(spec: str, what: str, kinds: dict):
         raise ValueError(f"bad {what} spec {spec!r}: {exc}") from exc
 
 
+def _spec_text(spec: str, kinds: dict) -> str:
+    """A spec :func:`_read_spec` accepts, as it reads it: the kind, then the stripped
+    ``key=value`` items in the builder's parameter order, so one spec has one text."""
+    kind, _, body = spec.partition(":")
+    kv = dict((part.strip() for part in item.split("=", 1))
+              for item in filter(None, body.split(",")))
+    items = [f"{key}={kv[key]}" for key in inspect.signature(kinds[kind]).parameters if key in kv]
+    return f"{kind}:{','.join(items)}" if items else kind
+
+
 _sieve_memo: dict[int, arith.SieveTables] = {}
 
 
@@ -193,19 +203,24 @@ def _twist_params(q: str, sigma: str) -> hb_model.TwistParams:
     return hb_model.TwistParams(q0=int(q), sigma=float(sigma))
 
 
-def parse_weight(spec: str, N: int, T: int | None, cache_dir: str | None) -> gowers.Series:
-    if T is not None:  # --T is read only by twist: weights
-        if spec.partition(":")[0] != "twist":
-            raise ValueError(f"--T applies only to twist: weights, got --weight {spec}")
-        hb_model._check_dyadic(T, "--T")
-    return _read_spec(spec, "weight", {
+def _weight_kinds(N: int, T: int | None, cache_dir: str | None) -> dict:
+    """The --weight builders by kind; their parameters are the kinds' keys."""
+    return {
         "vonmangoldt": lambda: hb_model.vonmangoldt_weight(_sieve_for(N, cache_dir), N),
         "hb": lambda Q: hb_model.lambda_Q(int(Q), N),
         "hbsum": lambda T: hb_model.lambda_leq(int(T), N),  # the spec's T, not --T
         "twist": lambda q, sigma: hb_model.twist(
             hb_model.lambda_leq(hb_model.q_schedule(N) if T is None else T, N),
             _twist_params(q, sigma)),
-    })
+    }
+
+
+def parse_weight(spec: str, N: int, T: int | None, cache_dir: str | None) -> gowers.Series:
+    if T is not None:  # --T is read only by twist: weights
+        if spec.partition(":")[0] != "twist":
+            raise ValueError(f"--T applies only to twist: weights, got --weight {spec}")
+        hb_model._check_dyadic(T, "--T")
+    return _read_spec(spec, "weight", _weight_kinds(N, T, cache_dir))
 
 
 def parse_system(spec: str) -> averages.SystemDescriptor:
@@ -236,7 +251,8 @@ def cmd_unorm(args) -> tuple[dict, tuple | None]:
         res = gowers.gowers_normalized(w, args.N, s, workers=args.threads)
         rows.append((s, args.N, res.raw, res.normalizer, res.normalized))
         print(f"unorm s={s} N={args.N} norm={res.normalized!r}")
-    name = f"unorm_{args.weight.replace(':', '_').replace(',', '_')}_{args.N}.csv"
+    weight = _spec_text(args.weight, _weight_kinds(args.N, args.T, args.cache_dir))
+    name = f"unorm_{weight.replace(':', '_').replace(',', '_')}_{args.N}.csv"
     header = ["s", "N", "raw", "normalizer", "normalized"]
     return {"norms": {str(r[0]): r[4] for r in rows}}, (name, header, rows)
 
@@ -344,10 +360,11 @@ def cmd_ww(args) -> tuple[dict, tuple | None]:
     rows = []
     for N in args.ns or [args.N]:
         w = parse_weight(args.weight, N, args.T, args.cache_dir)
+        weight = _spec_text(args.weight, _weight_kinds(N, args.T, args.cache_dir))
         f = averages.orbit(system, N)
         res = averages.ww_sup_grid(w, f, N, oversample=args.oversample)
         rows.append((N, res.theta_star, res.sup_modulus, res.grid_error_bound,
-                     system.label(), args.weight))
+                     system.label(), weight))
         print(f"ww N={N} sup={res.sup_modulus!r} at theta={res.theta_star!r}")
     header = ["N", "theta_star", "sup_modulus", "grid_error", "system", "weight"]
     return {"sup": rows[-1][2]}, (f"ww_{system.kind}.csv", header, rows)
@@ -359,10 +376,11 @@ def cmd_rtt(args) -> tuple[dict, tuple | None]:
     rows = []
     for N in args.ns or [args.N]:
         w = parse_weight(args.weight, N, args.T, args.cache_dir)
+        weight = _spec_text(args.weight, _weight_kinds(N, args.T, args.cache_dir))
         f = averages.orbit(sys_f, N)
         g = averages.orbit(sys_g, N)
         val = averages.rtt_average(w, f, g, N)
-        rows.append((N, abs(val), sys_f.label(), sys_g.label(), args.weight))
+        rows.append((N, abs(val), sys_f.label(), sys_g.label(), weight))
         print(f"rtt N={N} modulus={abs(val)!r}")
     header = ["N", "modulus", "system_f", "system_g", "weight"]
     return {"modulus": rows[-1][1]}, (f"rtt_{sys_f.kind}_{sys_g.kind}.csv", header, rows)

@@ -16,11 +16,14 @@ Fast paths share one kernel, :func:`_pow4_rows`, the fourth moment
 counted twice when the rows are real):
     * U^2 raw = sum_h |A_f(h)|^2 with A_f the autocorrelation; the kernel on
       the one row f, zero-padded to length n (exact Parseval identity once
-      n >= 2L - 1).
+      n >= 2L - 1).  n is the shortest even 5-smooth length 2^a 3^b 5^c
+      (a >= 1) that is long enough (:func:`_smooth_lengths`): pocketfft runs
+      these mixed-radix lengths about as fast per point as powers of two,
+      and they pad tighter.
     * U^3 raw = sum_{h} U^2raw(Delta_h f), the kernel on the rows Delta_h f
-      of :func:`_shift_rows`.  Row h has L - h nonzero entries, so the shifts
-      are bucketed by n = _fft_length(L - h) (:func:`_u3_buckets`); n still
-      satisfies n >= 2(L - h) - 1, so only rounding depends on the bucket.
+      of :func:`_shift_rows`.  Row h has L - h nonzero entries, so it is
+      padded to the shortest even 5-smooth n >= 2(L - h) - 1 and the shifts
+      are bucketed by n (:func:`_u3_buckets`); only rounding depends on n.
     * the cyclic U^2 and U^3 norms, the kernel at n = P on f and on the
       cyclic Delta_h f, windows of the doubled period.
 One driver, :func:`_run_rows`, runs every row kernel, here and in averages,
@@ -41,6 +44,7 @@ a quadratic phase cancels in the 8-fold product.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -161,12 +165,29 @@ def _fft_length(L: int) -> int:
     return 1 << max(1, (2 * L - 1)).bit_length()
 
 
+def _smooth_lengths(m: int) -> list[int]:
+    """The even lengths 2^a 3^b 5^c (a >= 1) up to the first one >= m, ascending.
+
+    Built per call, never as a table: even at the largest U^3 length the cost
+    model prices (about 3e14) this is a walk over a few thousand numbers.
+    Odd and 7-smooth lengths were measured no faster.
+    """
+    top = 2 * m  # [m, 2m] holds an even power of two
+    lengths = [2]
+    for p in (2, 3, 5):
+        for x in lengths[:]:
+            while (x := x * p) <= top:
+                lengths.append(x)
+    lengths.sort()
+    return lengths[: bisect_left(lengths, m) + 1]
+
+
 def gowers_u2_fast(f: Series) -> float:
     """Raw U^2 functional sum_h |A_f(h)|^2 via one zero-padded FFT."""
     L = f.length
     if L == 0:
         return 0.0
-    return float(_pow4_rows(f.values[None, :], _fft_length(L))[0])
+    return float(_pow4_rows(f.values[None, :], _smooth_lengths(2 * L - 1)[-1])[0])
 
 
 def _batches(lo: int, hi: int, n: int) -> list[tuple[int, int]]:
@@ -176,14 +197,15 @@ def _batches(lo: int, hi: int, n: int) -> list[tuple[int, int]]:
 
 
 def _u3_buckets(L: int) -> list[tuple[int, int, int]]:
-    """The O(log L) U^3 shift buckets (lo, end, n): n = _fft_length(L - h) on [lo, end)."""
-    buckets = []
-    lo = 0
-    while lo < L:
-        n = _fft_length(L - lo)
-        buckets.append((lo, L - n // 4, n))
-        lo = L - n // 4
-    return buckets
+    """The U^3 shift buckets (lo, end, n), one per even 5-smooth n up to that of h = 0.
+
+    Row h takes the shortest n >= 2(L - h) - 1, so with prev the next shorter
+    length (0 below 2) its rows are prev < 2(L - h) - 1 <= n, that is
+    L - n/2 <= h < L - prev/2.  There are O((log L)^3) buckets, 87 at L = 1024.
+    """
+    lengths = _smooth_lengths(2 * L - 1)
+    return [(max(0, L - n // 2), L - prev // 2, n)
+            for prev, n in zip([0, *lengths], lengths)][::-1]
 
 
 def _plan_work(plan: list[tuple[int, int, int]]) -> float:

@@ -1,13 +1,14 @@
 """Gowers norms: brute force vs FFT paths, normalizers, invariances."""
 
-from math import log2
+from bisect import bisect_left
+from math import isclose, log2
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbgowers import averages, gowers
+from hbgowers import averages, gowers, hb_model
 from hbgowers.averages import bounded_random
 from hbgowers.gowers import Series
 
@@ -82,9 +83,9 @@ def test_u3_worker_determinism():
     r2 = gowers.gowers_u3_fast(f, workers=2)
     r4 = gowers.gowers_u3_fast(f, workers=4)
     assert r1 == r2 == r4  # bitwise
-    # the batches come from the plan _u3_buckets(L) alone: at L = 700 the first
-    # FFT-length bucket (n = 2048) is cut into batches of 128 and 60 rows,
-    # at L = 3000 the first (n = 8192) into 29 batches of 32 and one of 24
+    # the batches come from the plan _u3_buckets(L) alone: at L = 700 its 76
+    # FFT-length buckets run as one batch each, at L = 3000 the first bucket
+    # (n = 6000) is cut into batches of 43 and 41 rows
     f = random_series(rng, 3000)
     r1 = gowers.gowers_u3_fast(f, workers=1)
     assert gowers.gowers_u3_fast(f, workers=2) == r1
@@ -116,7 +117,8 @@ def test_run_rows_writes_every_row_once(monkeypatch, points):
     # bucket length) gives 0, 1, ..., end - 1 only if every row of the plan is
     # written exactly once, over uneven last batches and for any worker count.
     # The plan's readers see the batches the driver runs: the cost model's
-    # _plan_work is their sum, the reused buffers' _plan_rows their largest
+    # _plan_work is their sum (up to rounding: n log2 n is not an integer at
+    # 5-smooth n), the reused buffers' _plan_rows their largest
     if points is not None:
         monkeypatch.setattr(gowers, "_BATCH_POINTS", points)
     plans = [gowers._u3_buckets(L) for L in (*range(1, 71), 700, 3000)]
@@ -133,8 +135,51 @@ def test_run_rows_writes_every_row_once(monkeypatch, points):
             batches.clear()
             assert (gowers._run_rows(plan, rows_fn, workers) == np.arange(end)).all()
             batches.sort()  # the order the pool ran them in is not fixed
-            assert gowers._plan_work(plan) == sum((b - a) * n * log2(n) for a, b, n in batches)
+            work = sum((b - a) * n * log2(n) for a, b, n in batches)
+            assert isclose(gowers._plan_work(plan), work, rel_tol=1e-12)
             assert gowers._plan_rows(plan) == max(b - a for a, b, _ in batches)
+
+
+def _is_5_smooth(k):
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+def _even_smooth_up_to(top):
+    """Every 2^a 3^b 5^c <= top with a >= 1, from the exponent triples, ascending."""
+    return sorted(v for a in range(1, top.bit_length())
+                  for b in range(top.bit_length()) for c in range(top.bit_length())
+                  if (v := 2**a * 3**b * 5**c) <= top)
+
+
+def test_smooth_lengths_oracle():
+    # trial division of every integer up to 2 * 10^4 finds the even 5-smooth
+    # lengths; _smooth_lengths(m) must list those below m and end at the first >= m
+    smooth = [k for k in range(2, 2 * 10**4 + 1, 2) if _is_5_smooth(k)]
+    for m in range(1, 10**4 + 1):
+        end = next(i for i, k in enumerate(smooth) if k >= m)
+        assert gowers._smooth_lengths(m) == smooth[: end + 1], m
+    big = _even_smooth_up_to(1 << 42)
+    for m in (2**40 - 1, 2**40, 2**40 + 1, 3**25, 5**17 + 1, 10**12 + 7):
+        expected = [k for k in big if k < m] + [min(k for k in big if k >= m)]
+        assert gowers._smooth_lengths(m) == expected, m
+
+
+def test_u3_buckets_cover_rows_with_minimal_lengths():
+    # the buckets tile [0, L) in order, and n is the shortest even 5-smooth
+    # length >= 2(L - h) - 1 at the first and the last row h of its bucket;
+    # hb_period(32) is the interval the decay cost model prices and refuses
+    for L in (*range(1, 301), 700, 3000, 8192, hb_model.hb_period(32)):
+        plan = gowers._u3_buckets(L)
+        assert plan[0][0] == 0 and plan[-1][1] == L
+        assert all(end == nxt for (_, end, _), (nxt, _, _) in zip(plan, plan[1:]))
+        smooth = _even_smooth_up_to(4 * L)
+        for lo, end, n in plan:
+            assert lo < end
+            for h in (lo, end - 1):
+                assert n == smooth[bisect_left(smooth, 2 * (L - h) - 1)], (L, h)
 
 
 def test_workers_must_be_positive():
