@@ -178,18 +178,17 @@ def ww_average(w: Series, f: Series, theta: float, N: int) -> complex:
     return complex(np.mean(w.values[:N] * f.values[:N] * np.exp(2j * np.pi * theta * n)))
 
 
-def _grid_modulus(pad: np.ndarray, spec: np.ndarray, mod: np.ndarray) -> np.ndarray:
+def _grid_modulus(pad: np.ndarray, spec: np.ndarray) -> np.ndarray:
     """|S_j| for S_j = sum_{n=1}^{N} pad_n e(n j / L), j in [L), row by row.
 
     ``pad`` holds each row zero-padded to length L, entry n carrying
     e(n theta) after one inverse FFT of length L.  The spectrum goes to the
-    complex buffer ``spec`` (which may be ``pad`` itself) and the modulus to
-    the float buffer ``mod``, both the shape of ``pad``, so a caller can
-    reuse all three; returns ``mod``.
+    complex buffer ``spec`` of the same shape (which may be ``pad`` itself),
+    so a caller can reuse both; returns the modulus as a new float array.
     """
     np.fft.ifft(pad, axis=1, out=spec)
     spec *= pad.shape[1]
-    return np.abs(spec, out=mod)
+    return np.abs(spec)
 
 
 def ww_sup_grid(w: Series, f: Series, N: int, oversample: int = 8) -> WWResult:
@@ -206,7 +205,7 @@ def ww_sup_grid(w: Series, f: Series, N: int, oversample: int = 8) -> WWResult:
     L = oversample * N
     pad = np.zeros((1, L), dtype=complex)
     pad[0, 1 : N + 1] = x
-    mods = _grid_modulus(pad, pad, np.empty(pad.shape))[0] / N
+    mods = _grid_modulus(pad, pad)[0] / N
     j_star = int(np.argmax(mods))
     n = np.arange(1, N + 1, dtype=np.float64)
     lip = 2.0 * np.pi * float(np.sum(n * np.abs(x))) / N
@@ -236,12 +235,10 @@ class IneqResult:
 
 
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b, n = len(a) + len(b) - 1 entries, by FFTs of length gowers._smooth_lengths(n)[-1]."""
     n = len(a) + len(b) - 1
-    size = gowers._fft_length(n // 2 + 1)  # the power of two above n
-    out = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:n]
-    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
-        return out.real
-    return out
+    size = gowers._smooth_lengths(n)[-1]
+    return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:n]
 
 
 @lru_cache(maxsize=32)
@@ -297,11 +294,10 @@ def ineq_u3_modulated(f: np.ndarray, w: np.ndarray, N: int, *,
     plan = [(0, 2 * N, L)]
     pad = np.zeros((gowers._plan_rows(plan), L), dtype=complex)
     spec = np.empty_like(pad)
-    mod = np.empty(pad.shape)
 
     def sup_rows(a: int, b: int, n: int) -> np.ndarray:
         np.multiply(u[a:b], w[:N], out=pad[: b - a, 1 : N + 1])
-        return np.max(_grid_modulus(pad[: b - a], spec[: b - a], mod[: b - a]), axis=1)
+        return np.max(_grid_modulus(pad[: b - a], spec[: b - a]), axis=1)
 
     sup = gowers._run_rows(plan, sup_rows)
     acc = 0.0
@@ -331,7 +327,7 @@ def ineq_rtt(f: np.ndarray, w: np.ndarray, g_family: np.ndarray, N: int) -> Ineq
     if g_family.shape != (2 * N, N):
         raise ValueError(f"g_family must have shape (2N, N) = {(2 * N, N)}")
     u = _shift_matrix(f, N)
-    size = gowers._fft_length(N)
+    size = gowers._smooth_lengths(2 * N - 1)[-1]
     plan = [(0, 2 * N, size)]
     rows = np.empty((gowers._plan_rows(plan), N), dtype=np.result_type(f, w))
     U = np.empty((len(rows), size), dtype=complex)

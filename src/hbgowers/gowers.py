@@ -19,7 +19,9 @@ counted twice when the rows are real):
       n >= 2L - 1).  n is the shortest even 5-smooth length 2^a 3^b 5^c
       (a >= 1) that is long enough (:func:`_smooth_lengths`): pocketfft runs
       these mixed-radix lengths about as fast per point as powers of two,
-      and they pad tighter.
+      and they pad tighter.  The same rule pads the zero-padded
+      convolutions in averages (``_fft_convolve`` and the rtt rows); at
+      L = 2^k it gives the power of two 2^(k+1).
     * U^3 raw = sum_{h} U^2raw(Delta_h f), the kernel on the rows Delta_h f
       of :func:`_shift_rows`.  Row h has L - h nonzero entries, so it is
       padded to the shortest even 5-smooth n >= 2(L - h) - 1 and the shifts
@@ -159,10 +161,6 @@ def _pow4_rows(rows: np.ndarray, n: int) -> np.ndarray:
     if n % 2 == 0:
         return (re[:, 0] + re[:, -1] + 2.0 * re[:, 1:-1].sum(axis=1)) / n
     return (re[:, 0] + 2.0 * re[:, 1:].sum(axis=1)) / n
-
-
-def _fft_length(L: int) -> int:
-    return 1 << max(1, (2 * L - 1)).bit_length()
 
 
 def _smooth_lengths(m: int) -> list[int]:

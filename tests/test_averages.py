@@ -358,6 +358,32 @@ def test_ineq_rtt_matches_bruteforce(N):
         assert res.lhs == pytest.approx(_rtt_lhs_bruteforce(f, w, g, N), rel=1e-12)
 
 
+def _conv_lhs_bruteforce(f, w, N, p, g=None):
+    """E_{x in [2N]} |E_n w(n) f(x-n) g(x+n)|^p as explicit sums; g = 1 if None."""
+    total = 0.0
+    for x in range(1, 2 * N + 1):
+        s = sum(w[n - 1] * f[x - n - 1] * (1.0 if g is None else g[x + n - 1])
+                for n in range(1, N + 1)
+                if 1 <= x - n <= N and (g is None or x + n <= N))
+        total += abs(s / N) ** p
+    return total / (2 * N)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 16, 33, 100])
+def test_ineq_convolutions_match_bruteforce(N):
+    # real f with a real w gives an all-real convolution; the N that are not
+    # powers of two pad to 5-smooth lengths
+    rng = np.random.default_rng(300 + N)
+    f, g = rng.standard_normal(N), bounded_random(rng, N)
+    for w in (rng.standard_normal(N), bounded_random(rng, N)):
+        assert averages.ineq_u2(f, w, N).lhs == pytest.approx(
+            _conv_lhs_bruteforce(f, w, N, 2), rel=1e-12)
+        assert averages.ineq_u4_convolution(f, w, N).lhs == pytest.approx(
+            _conv_lhs_bruteforce(f, w, N, 4), rel=1e-12)
+        assert averages.ineq_double_recurrence(f, g, w, N).lhs == pytest.approx(
+            _conv_lhs_bruteforce(f, w, N, 2, g), rel=1e-12)
+
+
 @pytest.mark.parametrize("points", [1 << 10, 1 << 22])
 def test_ineq_rtt_batch_independent(monkeypatch, points):
     # the rows run in batches of _BATCH_POINTS // size; the lhs must not notice
