@@ -7,7 +7,9 @@ path), 3 over the time budget.
 A spec is ``kind:key=value,...``; ``kind:`` with no keys reads as ``kind``.
 A kind's keys are its builder's parameters, so a key the builder does not
 take, a key it needs that is missing, a key given twice or an item with no
-``=`` exits 2.
+``=`` exits 2.  A value is read as its parameter's annotated type (int or
+float, else text), and CSV names and weight cells write it as read, so
+``hb:Q=04`` and ``hb:Q=4`` name one file.
 
 Grammar for --weight:
     vonmangoldt            sieved Lambda up to N (uses --cache-dir if given)
@@ -144,36 +146,41 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 # weight / system parsing
 
 
+def _spec_items(spec: str, kinds: dict) -> tuple[str, dict]:
+    """The kind of ``kind:key=value,...`` and its items in the builder's parameter
+    order, each value read as its parameter's annotated type (int, float, else text)."""
+    kind, _, body = spec.partition(":")
+    params = inspect.signature(kinds[kind], eval_str=True).parameters
+    kv = {}
+    for item in filter(None, body.split(",")):
+        key, eq, value = (part.strip() for part in item.partition("="))
+        if not eq or key in kv:
+            raise ValueError(f"{'repeated' if eq else 'malformed'} parameter {key!r}")
+        kv[key] = value
+    for key in [k for k in kv if k not in params]:
+        raise ValueError(f"unknown parameter {key!r}")
+    for key in [k for k, p in params.items() if p.default is p.empty and k not in kv]:
+        raise ValueError(f"missing parameter {key!r}")
+    return kind, {key: p.annotation(kv[key]) if p.annotation in (int, float) else kv[key]
+                  for key, p in params.items() if key in kv}
+
+
 def _read_spec(spec: str, what: str, kinds: dict):
     """Build ``kind:key=value,...`` with ``kinds[kind]``, whose parameters are the kind's keys."""
-    kind, _, body = spec.partition(":")
-    build = kinds.get(kind)
-    if build is None:
+    if spec.partition(":")[0] not in kinds:
         raise ValueError(f"unknown {what} spec {spec!r}")
-    params = inspect.signature(build).parameters
     try:
-        kv = {}
-        for item in filter(None, body.split(",")):
-            key, eq, value = (part.strip() for part in item.partition("="))
-            if not eq or key in kv:
-                raise ValueError(f"{'repeated' if eq else 'malformed'} parameter {key!r}")
-            kv[key] = value
-        for key in [k for k in kv if k not in params]:
-            raise ValueError(f"unknown parameter {key!r}")
-        for key in [k for k, p in params.items() if p.default is p.empty and k not in kv]:
-            raise ValueError(f"missing parameter {key!r}")
-        return build(**kv)
+        kind, kv = _spec_items(spec, kinds)
+        return kinds[kind](**kv)
     except ValueError as exc:  # a defective key, or a value the builder refuses
         raise ValueError(f"bad {what} spec {spec!r}: {exc}") from exc
 
 
 def _spec_text(spec: str, kinds: dict) -> str:
-    """A spec :func:`_read_spec` accepts, as it reads it: the kind, then the stripped
-    ``key=value`` items in the builder's parameter order, so one spec has one text."""
-    kind, _, body = spec.partition(":")
-    kv = dict((part.strip() for part in item.split("=", 1))
-              for item in filter(None, body.split(",")))
-    items = [f"{key}={kv[key]}" for key in inspect.signature(kinds[kind]).parameters if key in kv]
+    """A spec :func:`_read_spec` accepts, as it reads it: the kind, then its items
+    with their values as read (str of an int, repr of a float), so one spec has one text."""
+    kind, kv = _spec_items(spec, kinds)
+    items = [f"{key}={_fmt(value)}" for key, value in kv.items()]
     return f"{kind}:{','.join(items)}" if items else kind
 
 
@@ -199,20 +206,22 @@ def _sieve_for(N: int, cache_dir: str | None) -> arith.SieveTables:
     return tables
 
 
-def _twist_params(q: str, sigma: str) -> hb_model.TwistParams:
-    return hb_model.TwistParams(q0=int(q), sigma=float(sigma))
-
-
 def _weight_kinds(N: int, T: int | None, cache_dir: str | None) -> dict:
-    """The --weight builders by kind; their parameters are the kinds' keys."""
-    return {
-        "vonmangoldt": lambda: hb_model.vonmangoldt_weight(_sieve_for(N, cache_dir), N),
-        "hb": lambda Q: hb_model.lambda_Q(int(Q), N),
-        "hbsum": lambda T: hb_model.lambda_leq(int(T), N),  # the spec's T, not --T
-        "twist": lambda q, sigma: hb_model.twist(
-            hb_model.lambda_leq(hb_model.q_schedule(N) if T is None else T, N),
-            _twist_params(q, sigma)),
-    }
+    """The --weight builders by kind; their parameters are the kinds' keys, and a
+    parameter's annotation is the type its value is read as."""
+    def hb(Q: int):
+        return hb_model.lambda_Q(Q, N)
+
+    def hbsum(T: int):  # the spec's T, not --T
+        return hb_model.lambda_leq(T, N)
+
+    def twist(q: int, sigma: float):
+        params = hb_model.TwistParams(q0=q, sigma=sigma)  # refused before the weight is built
+        base = hb_model.lambda_leq(hb_model.q_schedule(N) if T is None else T, N)
+        return hb_model.twist(base, params)
+
+    return {"vonmangoldt": lambda: hb_model.vonmangoldt_weight(_sieve_for(N, cache_dir), N),
+            "hb": hb, "hbsum": hbsum, "twist": twist}
 
 
 def parse_weight(spec: str, N: int, T: int | None, cache_dir: str | None) -> gowers.Series:
@@ -259,8 +268,8 @@ def cmd_unorm(args) -> tuple[dict, tuple | None]:
 
 def cmd_ap(args) -> tuple[dict, tuple | None]:
     w = parse_weight(args.weight, args.N, args.T, args.cache_dir)
-    twisted = args.weight.partition(":")[0] == "twist"
-    params = _read_spec(args.weight, "weight", {"twist": _twist_params}) if twisted else None
+    kind, kv = _spec_items(args.weight, _weight_kinds(args.N, args.T, args.cache_dir))
+    params = hb_model.TwistParams(q0=kv["q"], sigma=kv["sigma"]) if kind == "twist" else None
     rows = []
     worst = 0.0
     for a in range(1, args.q + 1):

@@ -10,7 +10,8 @@ Lambda_Q is periodic with period P_Q = lcm(Q/2 < q <= Q), has mean zero over
 a full period for Q >= 2 (each c_q with q > 1 averages to zero), and mean one
 for the trivial block Q = 1.  Every weight builder returns a gowers.Series
 with values[i] = w(1 + i); every block top Q and total T must be a power of
-two at most 64.
+two at most 64.  lambda_Q and lambda_leq add the terms chunk by chunk in one fixed
+order at every n (q ascending, blocks dyadic), so Lambda_Q(n) == Lambda_Q(n + P_Q).
 
 Expanding c_q by its divisor formula turns the running total into type-I
 shape: Lambda_{<=Q}(n) = sum_{d | n} alpha_d with
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm, log
 
 import numpy as np
@@ -44,6 +46,7 @@ from hbgowers.arith import (
 from hbgowers.gowers import Series
 
 _Q_MAX = 64  # period lcm fits comfortably; larger blocks are refused
+_CHUNK = 1 << 13  # entries per pass of _accumulate: a block total stays in cache
 
 
 @dataclass
@@ -83,41 +86,47 @@ def hb_period(Q: int) -> int:
     return lcm(*block_range(Q))
 
 
+@cache
+def _term(q: int) -> np.ndarray:
+    """(mu(q)/phi(q)) c_q(n) at n = 1 .. q from the exact residue table; read-only, built once."""
+    coef = (mobius_int(q) / totient_int(q)) * np.roll(ramanujan_table(q).astype(np.float64), -1)
+    coef.flags.writeable = False
+    return coef
+
+
+def _accumulate(tops: list[int], N: int) -> Series:
+    """Lambda_Q over the tops Q summed in order on n = 1 .. N, _CHUNK entries at a time: each
+    block total is zeroed in one reused buffer, given its terms' windows and added to out."""
+    out = np.zeros(N, dtype=np.float64)
+    total = np.empty(min(N, _CHUNK), dtype=np.float64)
+    blocks = [[(q, np.tile(_term(q), len(total) // q + 2))  # every window of len(total) entries
+               for q in block_range(Q) if mobius_int(q)] for Q in tops]
+    for lo in range(0, N, len(total)):
+        part = total[: N - lo]
+        for block in blocks:
+            part.fill(0.0)
+            for q, table in block:
+                part += table[lo % q : lo % q + len(part)]
+            out[lo : lo + len(part)] += part
+    return Series(out)
+
+
 def lambda_Q(Q: int, N: int) -> Series:
     """The block weight Lambda_Q on n = 1 .. N.
 
-    Each q in the block contributes (mu(q)/phi(q)) c_q(n) through its exact
-    integer residue table, scaled once per period and added in place period
-    by period; term order is fixed (q ascending), so values at n and n + P_Q
-    are bitwise equal.
+    Each q in the block adds (mu(q)/phi(q)) c_q(n) from its exact integer residue table,
+    chunk by chunk in one fixed order (q ascending): values at n and n + P_Q are bitwise equal.
     """
     _check_dyadic(Q)
     _check_length(N)
-    out = np.zeros(N, dtype=np.float64)
-    for q in block_range(Q):
-        mu = mobius_int(q)
-        if mu == 0:
-            continue
-        # coef[i] is the term at n = i + 1 (mod q), since n starts at 1
-        coef = (mu / totient_int(q)) * np.roll(ramanujan_table(q).astype(np.float64), -1)
-        m = N - N % q
-        periods = out[:m].reshape(-1, q)  # a view: the sum lands in out
-        periods += coef
-        out[m:] += coef[: N - m]
-    return Series(out)
+    return _accumulate([Q], N)
 
 
 def lambda_leq(T: int, N: int) -> Series:
-    """Running total Lambda_{<=T} on n = 1 .. N; T a power of two.
-
-    Blocks are summed in fixed dyadic order.
-    """
+    """Running total Lambda_{<=T} on n = 1 .. N: the lambda_Q arrays summed in dyadic order."""
     _check_dyadic(T, "T")
     _check_length(N)
-    out = np.zeros(N, dtype=np.float64)
-    for Q in dyadic_blocks(T):
-        out += lambda_Q(Q, N).values
-    return Series(out)
+    return _accumulate(dyadic_blocks(T), N)
 
 
 def lambda_leq_direct(T: int, N: int) -> np.ndarray:

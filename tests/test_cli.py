@@ -144,11 +144,19 @@ def test_empty_spec_body_reads_as_kind(tmp_path, argv):
     ("ww --N 64", ["hbsum:T=4", "hbsum:T= 4", "hbsum:T=4,"], "ww_rotation.csv", "hbsum:T=4"),
     ("rtt --N 64", ["twist:q=3,sigma=0.9", "twist:sigma=0.9,q=3"],
      "rtt_rotation_rotation.csv", "twist:q=3,sigma=0.9"),
-], ids=["vonmangoldt", "hbsum", "twist", "ww", "rtt"])
+    ("unorm --N 64 --s 2", ["hb:Q=4", "hb:Q=04"], "unorm_hb_Q=4_64.csv", None),
+    ("unorm --N 64 --s 2", ["hbsum:T=4", "hbsum:T=+4"], "unorm_hbsum_T=4_64.csv", None),
+    ("unorm --N 64 --s 2", ["twist:q=3,sigma=0.9", "twist:q=3,sigma=0.90"],
+     "unorm_twist_q=3_sigma=0.9_64.csv", None),
+    ("ww --N 64", ["twist:q=3,sigma=0.9", "twist:q=03,sigma=0.90"], "ww_rotation.csv",
+     "twist:q=3,sigma=0.9"),
+], ids=["vonmangoldt", "hbsum", "twist", "ww", "rtt", "int-leading-zero", "int-plus-sign",
+        "float-trailing-zero", "ww-parsed-values"])
 def test_one_weight_one_name(tmp_path, argv, spellings, csv, text):
     # every spelling _read_spec reads as the same weight names the same CSV and
     # writes the same bytes; ww and rtt write the spec as it is read, the kind and
-    # then its key=value items stripped, in the builder's parameter order
+    # then its key=value items stripped, in the builder's parameter order, each
+    # value as parsed (str of an int key, repr of a float key)
     outs = []
     for i, spec in enumerate(spellings):
         out = tmp_path / str(i)

@@ -56,11 +56,16 @@ def test_lambda_Q_exact_periodicity():
         assert np.array_equal(v[:P], v[2 * P : 3 * P])
 
 
+_C = hb_model._CHUNK
+# lengths below, at and past the accumulator's chunk edges
+_EDGE_NS = (1, 2, 3, 64, 65, 1001, _C - 1, _C, _C + 1, 3 * _C + 7)
+
+
 def test_lambda_Q_matches_residue_gather_bitwise():
-    # the per-period in-place sum gives the bits of the residue-table gather,
-    # also on a partial last period (N not divisible by q)
+    # the chunked in-place sum gives the bits of the residue-table gather,
+    # also on a partial last period (N not divisible by q) and a partial chunk
     for Q in (1, 2, 4, 8, 16, 32, 64):
-        for N in (1, 2, 3, 64, 65, 1001):
+        for N in _EDGE_NS:
             n = np.arange(1, N + 1, dtype=np.int64)
             gathered = np.zeros(N)
             for q in hb_model.block_range(Q):
@@ -78,10 +83,41 @@ def test_lambda_Q_zero_mean_over_period():
 
 
 def test_lambda_leq_vs_direct_oracle():
-    for T in (1, 2, 4, 8, 16):
-        fast = hb_model.lambda_leq(T, 300).values
-        direct = hb_model.lambda_leq_direct(T, 300)
-        assert np.allclose(fast, direct, atol=1e-12), T
+    for T in (1, 2, 4, 8, 16, 32, 64):
+        for N in (300, _C + 1):
+            fast = hb_model.lambda_leq(T, N).values
+            direct = hb_model.lambda_leq_direct(T, N)
+            assert np.allclose(fast, direct, atol=1e-12), (T, N)
+
+
+def _lambda_leq_by_blocks(T, N):
+    # lambda_leq's definition: the lambda_Q arrays added in dyadic order
+    out = np.zeros(N)
+    for Q in hb_model.dyadic_blocks(T):
+        out += hb_model.lambda_Q(Q, N).values
+    return out
+
+
+def test_lambda_leq_is_sum_of_blocks_bitwise():
+    for T in (1, 2, 4, 8, 16, 32, 64):
+        for N in _EDGE_NS:
+            expected = _lambda_leq_by_blocks(T, N)
+            assert hb_model.lambda_leq(T, N).values.tobytes() == expected.tobytes(), (T, N)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_chunk_does_not_change_values(monkeypatch, chunk):
+    # every entry gets the same additions in the same order, so the chunk size
+    # set by _CHUNK moves the speed only
+    Ns = (1, 2, 3, 64, 65, 1001, chunk + 1, 3 * chunk + 7)
+    leq = {(T, N): hb_model.lambda_leq(T, N).values for T in (1, 2, 4, 8, 16, 32, 64) for N in Ns}
+    block = {(Q, N): hb_model.lambda_Q(Q, N).values for Q in (1, 8, 64) for N in Ns}
+    monkeypatch.setattr(hb_model, "_CHUNK", chunk)
+    for (T, N), values in leq.items():
+        assert hb_model.lambda_leq(T, N).values.tobytes() == values.tobytes(), (T, N)
+        assert _lambda_leq_by_blocks(T, N).tobytes() == values.tobytes(), (T, N)
+    for (Q, N), values in block.items():
+        assert hb_model.lambda_Q(Q, N).values.tobytes() == values.tobytes(), (Q, N)
 
 
 def test_lambda_leq_small_fixture():
