@@ -16,18 +16,23 @@ must also cover.
 Also records the moment-bound constant (E|Lambda_Q|^k against
 (1 + log Q)^{2^k + k} at N = 10 P_Q for feasible Q), the random-sign
 sup-grid band at N = 2^14 over 50 seeds, and the cyclic-vs-interval
-agreement for Lambda_4.
+agreement for Lambda_4, and the U^3 cost coefficient: seconds per unit of
+gowers._plan_work over interleaved real-input gowers_u3_fast runs at
+L = 1024..8192.
 
 Prints one line per measured quantity.  The values in calibration.py are
 these maxima with a 2x safety margin, rounded up; rerun after any change
 to the inequality implementations and refresh that module if a maximum
-moved.
+moved.  U3_SECONDS_PER_WORK is the top of several measured coefficients,
+rounded up at the first digit; refresh it after any change to the U^3
+kernel.
 """
 
 from __future__ import annotations
 
 import functools
 import sys
+import time
 from math import log, sqrt
 
 import numpy as np
@@ -199,6 +204,26 @@ def sweep_cyclic_interval() -> float:
     return rel
 
 
+def sweep_u3_cost() -> float:
+    """Total seconds over total _plan_work of real-input U^3 runs, lengths interleaved."""
+    lengths, rounds = (1024, 2048, 4096, 8192), 5
+    rng = np.random.default_rng(0)
+    inputs = {L: gowers.Series(rng.standard_normal(L)) for L in lengths}
+    for f in inputs.values():  # warm the plans and the FFT caches
+        gowers.gowers_u3_fast(f)
+    seconds = work = 0.0
+    for _ in range(rounds):
+        for L, f in inputs.items():
+            t0 = time.perf_counter()
+            gowers.gowers_u3_fast(f)
+            seconds += time.perf_counter() - t0
+            work += gowers._plan_work(gowers._u3_buckets(L))
+    coeff = seconds / work
+    print(f"u3 cost: {seconds!r} s over {work!r} units of plan work "
+          f"(L = {', '.join(map(str, lengths))}, {rounds} rounds) = {coeff!r} s per unit")
+    return coeff
+
+
 def main() -> int:
     tables = arith.build_sieve(70)
     maxima = {
@@ -213,6 +238,7 @@ def main() -> int:
     maxima["moment"] = sweep_moment()
     maxima["signs_band"] = sweep_signs_band()
     maxima["cyclic_interval_rel"] = sweep_cyclic_interval()
+    maxima["u3_seconds_per_work"] = sweep_u3_cost()
     print("\nsummary:")
     for k, v in maxima.items():
         print(f"  {k}: {v!r}")

@@ -283,8 +283,12 @@ def ineq_u3_modulated(f: np.ndarray, w: np.ndarray, N: int, *,
 
     The inner sup picks, for every x separately, the grid frequency
     maximizing |E_n w(n) f(x-n) e(n theta)| -- the worst theta(x) the bound
-    must absorb.  The fourth powers are summed in fixed blocks of 256 rows,
-    so the value does not depend on the batch size.
+    must absorb.  Each row's sup is computed on its own by gowers._run_rows,
+    so no value depends on the batch size.  The fourth powers are summed in
+    fixed blocks of 256 rows only because the perfbench ``lib transfer``
+    pins and test_ineq_u3mod_transfer_lhs_pinned compare this lhs bitwise,
+    and one sum over all rows moves its last bit; the blocks can go when
+    those pins are re-cut.
     """
     if oversample < 2:
         raise ValueError(f"oversample must be >= 2, got {oversample}")

@@ -25,6 +25,17 @@ Measured maxima (2026-08 sweep, seeds fixed in the script):
 
 Rerun the script and refresh this module if any kernel changes; regressions
 must stay below these values.
+
+``U3_SECONDS_PER_WORK`` prices every U^3 job the cli gates, so one argv gets
+one estimate on every run and --budget-seconds is in seconds on this
+reference box: 2 cores of an Intel Xeon, Python 3.11.7, numpy 2.4.6.  The
+script times interleaved real-input gowers_u3_fast runs at L = 1024, 2048,
+4096 and 8192 (one warm-up each, then 5 rounds) and divides the total
+seconds by the total gowers._plan_work.  Eight such runs (2026-10) gave
+6.8e-10 to 8.6e-10 s per unit as the host load moved; the value is the top
+of that range rounded up at the first digit.  It priced the mixed-length
+perfbench u3_interval traffic at 1.00 to 1.15 times its traced time in five
+traced passes (seeds 901-905).
 """
 
 # worst observed lhs/rhs ratio x 2, rounded up; u2 is the proven constant
@@ -42,3 +53,7 @@ WW_SIGNS_BAND: float = 2.32
 
 # |interval - cyclic| / cyclic for block weights sampled over full periods
 CYCLIC_INTERVAL_TOL: float = 0.10
+
+# seconds per unit of gowers._plan_work of a real-input gowers_u3_fast run on
+# the reference box; the cli prices every U^3 job by it
+U3_SECONDS_PER_WORK: float = 9e-10

@@ -30,9 +30,11 @@ record (timestamps, parameters, stats, CSV digest) to ``manifest.jsonl``, in
 --out-dir, made only after the verb returns.
 
 The U^3 cost model is gowers._plan_work (rows * n log2 n per bucket) of the
-kernel's own plan gowers._u3_buckets, scaled by a startup probe at L = 1024;
-work over --budget-seconds is refused with exit code 3 before any heavy
-allocation.  A budget that is NaN, infinite, zero or negative, an integer
+kernel's own plan gowers._u3_buckets, scaled by the frozen coefficient
+calibration.U3_SECONDS_PER_WORK, so one argv is always priced the same and
+--budget-seconds means seconds on the reference box that coefficient was
+measured on; work over the budget is refused with exit code 3 before any
+heavy allocation.  A budget that is NaN, infinite, zero or negative, an integer
 below its _AT_LEAST bound (by flag, or by config key for ns and threads) and
 an --out-dir that mkdir would refuse exit 2 before any verb runs;
 --oversample below 2 and a repeated decay --qs entry exit 2 from the verb.
@@ -51,7 +53,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import errno
-import functools
 import hashlib
 import inspect
 import json
@@ -65,7 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from hbgowers import arith, averages, cube, gowers, hb_model
-from hbgowers.calibration import INEQ_CONSTANTS
+from hbgowers.calibration import INEQ_CONSTANTS, U3_SECONDS_PER_WORK
 
 
 class BudgetExceeded(Exception):
@@ -76,20 +77,8 @@ class BudgetExceeded(Exception):
 # cost model
 
 
-@functools.cache
-def _u3_coeff() -> float:
-    """Seconds per unit of gowers._plan_work: the best of three L = 1024 runs, two warm."""
-    probe = gowers.Series(np.random.default_rng(0).standard_normal(1024))
-    times = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        gowers.gowers_u3_fast(probe)
-        times.append(time.perf_counter() - t0)
-    return min(times) / gowers._plan_work(gowers._u3_buckets(1024))
-
-
 def estimate_u3_seconds(N: int) -> float:
-    return _u3_coeff() * gowers._plan_work(gowers._u3_buckets(N))
+    return U3_SECONDS_PER_WORK * gowers._plan_work(gowers._u3_buckets(N))
 
 
 def check_budget(estimate: float, budget: float, what: str) -> None:

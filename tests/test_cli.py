@@ -17,6 +17,7 @@ import pytest
 
 import hbgowers
 from hbgowers import arith, averages, cli, cube, gowers, hb_model
+from hbgowers.calibration import U3_SECONDS_PER_WORK
 
 
 def run(tmp_path, *argv):
@@ -26,6 +27,13 @@ def run(tmp_path, *argv):
 def manifest_lines(tmp_path):
     path = tmp_path / "manifest.jsonl"
     return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def fresh_env():
+    """The environment of a fresh interpreter that imports this hbgowers."""
+    src = str(Path(hbgowers.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +255,10 @@ def test_exit_three_decay_budget(tmp_path, capsys):
         assert not (tmp_path / "decay_interval.csv").exists()
 
 
-def test_u3_work_sums_the_chunks(monkeypatch):
-    # the cost model prices the kernel's own plan: at one second per unit its
-    # estimate is the work summed over every batch the row driver runs (up to
-    # rounding: n log2 n is not an integer at 5-smooth n)
-    monkeypatch.setattr(cli, "_u3_coeff", lambda: 1.0)
+def test_u3_work_sums_the_chunks():
+    # the cost model prices the kernel's own plan: its estimate is the frozen
+    # coefficient times the work summed over every batch the row driver runs
+    # (up to rounding: n log2 n is not an integer at 5-smooth n)
     for L in [*range(1, 71), 700, 3000]:
         batches = []
 
@@ -261,7 +268,34 @@ def test_u3_work_sums_the_chunks(monkeypatch):
 
         gowers._run_rows(gowers._u3_buckets(L), record)
         work = sum((b - a) * n * log2(n) for a, b, n in batches)
-        assert isclose(cli.estimate_u3_seconds(L), work, rel_tol=1e-12), L
+        assert isclose(cli.estimate_u3_seconds(L), U3_SECONDS_PER_WORK * work,
+                       rel_tol=1e-12), L
+
+
+def test_u3_pricing_runs_no_transform(tmp_path, capsys, monkeypatch):
+    # the estimate is the frozen coefficient times the plan work: pricing runs
+    # no U^3 kernel and no row driver, and the refusal prints that product
+    def refuse(*args, **kwargs):
+        raise AssertionError("a transform ran before the budget check")
+
+    monkeypatch.setattr(gowers, "_run_rows", refuse)
+    monkeypatch.setattr(gowers, "gowers_u3_fast", refuse)
+    assert run(tmp_path, "decay", "--qs", "16", "--mode", "interval") == 3
+    estimate = U3_SECONDS_PER_WORK * gowers._plan_work(gowers._u3_buckets(720720))
+    assert f"estimated {estimate:.3g}s exceeds" in capsys.readouterr().err
+
+
+def test_u3_refusal_is_reproducible(tmp_path):
+    # two fresh interpreters price one argv the same: both exit 3 with
+    # byte-identical stderr and neither makes the out-dir
+    procs = [subprocess.run(
+        [sys.executable, "-m", "hbgowers", "decay", "--qs", "16", "--mode", "interval",
+         "--out-dir", str(tmp_path / f"out{i}")], capture_output=True, env=fresh_env())
+        for i in range(2)]
+    assert [proc.returncode for proc in procs] == [3, 3], procs[0].stderr
+    assert procs[0].stderr == procs[1].stderr
+    assert b"budget: interval U^3 at M=720720" in procs[0].stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_exit_three_unorm_budget(tmp_path, capsys):
@@ -732,13 +766,10 @@ def test_config_file_missing(tmp_path, capsys):
 def test_module_entry_point(tmp_path, module):
     # the function behind [project.scripts] hbg, run in a fresh interpreter
     # as an installed script would run it
-    src = str(Path(hbgowers.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", module, "cube", "--mask", "255",
          "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=fresh_env())
     assert proc.returncode == 0, proc.stderr
     assert "cube masks=1" in proc.stdout
     if module == "hbgowers":
