@@ -1,9 +1,9 @@
 """Exact integer arithmetic: sieve tables, Ramanujan sums, real characters.
 
 Everything downstream (weight models, cube counts, averages) consumes the
-functions here, so this layer is kept exact: the sieve marks spf alone and
-derives mu, phi and Lambda from it by k = spf(k) m, and Ramanujan sums are
-evaluated by the divisor formula
+functions here, so this layer is kept exact: the sieve marks spf alone, the
+smallest prime last, copies Lambda(p) to the prime powers and derives mu and
+phi by k = spf(k) m, and Ramanujan sums are evaluated by the divisor formula
 
     c_q(n) = sum_{d | gcd(q, n)} mu(q/d) * d,
 
@@ -58,13 +58,14 @@ class SieveTables:
 def build_sieve(limit: int) -> SieveTables:
     """Sieve mu, phi, Lambda and smallest-prime-factor up to ``limit``.
 
-    The primes p <= isqrt(limit) mark spf at their multiples from p^2 on;
-    an unmarked entry (a prime, 0 or 1) is its own spf, and Lambda(p) =
-    log p comes from one vectorised log.  Then k = p m with p = spf(k), in
-    steps [lo, hi) with hi <= min(2 lo, lo + 2^18), so m < lo is done:
-    mu(k) = 0 if spf(m) == p else -mu(m), phi(k) = phi(m) (p if spf(m) == p
-    else p - 1), and Lambda(k) = Lambda(m) if spf(m) == p, so Lambda(p^j)
-    == Lambda(p) bit for bit.
+    The primes p <= isqrt(limit), from a small sieve on [0, isqrt(limit)],
+    write spf[p^2::p] = p from the largest p down, so the smallest prime
+    factor writes last; an unmarked entry (a prime, 0 or 1) is its own spf.
+    Lambda(p) = log p comes from one vectorised log, and each proper power
+    p^j <= limit copies Lambda(p), so Lambda(p^j) == Lambda(p) bit for bit.
+    Then k = p m with p = spf(k), in steps [lo, hi) with hi <= min(2 lo,
+    lo + 2^18), so m < lo is done: mu(k) = 0 if spf(m) == p else -mu(m),
+    and phi(k) = phi(m) (p if spf(m) == p else p - 1).
 
     Args:
         limit: inclusive upper bound, 1 <= limit <= 2^31.
@@ -78,17 +79,23 @@ def build_sieve(limit: int) -> SieveTables:
         raise ValueError(f"sieve limit {limit} exceeds memory guard {_SIEVE_LIMIT_MAX}")
 
     n = limit
+    head = np.ones(isqrt(n) + 1, dtype=bool)  # head[p], p >= 2: is p prime
+    for p in range(2, isqrt(isqrt(n)) + 1):
+        head[p * p :: p] = False  # p composite marks only composites
+    small = np.flatnonzero(head[2:]) + 2
     spf = np.zeros(n + 1, dtype=np.int64)
-    for p in range(2, isqrt(n) + 1):
-        if spf[p]:
-            continue  # composite: its smallest prime already marked it
-        view = spf[p * p :: p]
-        view[view == 0] = p
+    for p in small[::-1].tolist():
+        spf[p * p :: p] = p
     unmarked = np.flatnonzero(spf == 0)
     spf[unmarked] = unmarked
     primes = unmarked[2:]  # past 0 and 1
     vm = np.zeros(n + 1, dtype=np.float64)
     vm[primes] = np.log(primes.astype(np.float64))
+    for p in small.tolist():
+        pk = p * p
+        while pk <= n:
+            vm[pk] = vm[p]
+            pk *= p
 
     mu = np.zeros(n + 1, dtype=np.int8)
     phi = np.zeros(n + 1, dtype=np.int64)
@@ -97,11 +104,12 @@ def build_sieve(limit: int) -> SieveTables:
     while lo <= n:
         hi = min(2 * lo, lo + _SIEVE_STEP, n + 1)
         p = spf[lo:hi]
-        m = np.arange(lo, hi) // p
+        m = np.arange(lo, hi)
+        m //= p
         again = spf[m] == p
-        mu[lo:hi] = np.where(again, 0, -mu[m])
-        phi[lo:hi] = phi[m] * np.where(again, p, p - 1)
-        vm[lo:hi][again] = vm[m[again]]
+        np.negative(mu[m], out=mu[lo:hi])
+        mu[lo:hi] *= ~again
+        np.multiply(phi[m], p - 1 + again, out=phi[lo:hi])
         lo = hi
 
     return SieveTables(limit=n, mobius=mu, totient=phi, vonmangoldt=vm, spf=spf)

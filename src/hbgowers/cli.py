@@ -53,6 +53,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import errno
+import functools
 import hashlib
 import inspect
 import json
@@ -234,8 +235,10 @@ def parse_system(spec: str) -> averages.SystemDescriptor:
 def cmd_sieve(args) -> tuple[dict, tuple | None]:
     tables = _sieve_for(args.N, args.cache_dir)
     psi = float(tables.vonmangoldt[: args.N + 1].sum())
-    n_primes = int(np.count_nonzero(
-        tables.spf[2 : args.N + 1] == np.arange(2, args.N + 1)))
+    top, n_primes = args.N + 1, 0
+    for lo in range(2, top, arith._SIEVE_STEP):  # in steps: no N-sized index array
+        hi = min(lo + arith._SIEVE_STEP, top)
+        n_primes += int(np.count_nonzero(tables.spf[lo:hi] == np.arange(lo, hi)))
     print(f"sieve limit={args.N} primes={n_primes} psi={psi:.6f}")
     return {"limit": args.N, "primes": n_primes, "psi": psi}, None
 
@@ -462,6 +465,7 @@ _FLAGS = {
 _WEIGHT_FLAGS = ("--N", "--T", "--weight", "--cache-dir")
 
 
+@functools.cache  # one parser per process; verbs only read its default lists
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hbg", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -125,6 +125,36 @@ def test_sieve_across_capped_steps():
             pk *= int(p)
 
 
+@pytest.mark.parametrize("p, j", [(1009, 2), (2, 20)])
+def test_sieve_prime_power_limit(p, j):
+    # the limit itself is the last proper power p^j, so the prime-power copy
+    # of Lambda(p) and the last step of the recurrence both end at it
+    limit = p**j
+    t = arith.build_sieve(limit)
+    assert (t.spf[limit], t.mobius[limit], t.totient[limit]) == (p, 0, p ** (j - 1) * (p - 1))
+    assert abs(t.vonmangoldt[limit] - np.log(p)) < 1e-15
+    assert t.vonmangoldt[limit].tobytes() == t.vonmangoldt[p].tobytes()
+
+
+def test_sieve_prefix_at_step_boundaries():
+    # a smaller limit ends a step early; its tables are a prefix of the large
+    # sieve's, byte for byte, on each side of every step boundary
+    step = arith._SIEVE_STEP
+    big = arith.build_sieve(3 * step + 3)
+    bounds = [1 << j for j in range(1, 20)] + [3 * step]
+    for m in sorted({b + d for b in bounds for d in (-1, 0, 1)} - {0}):
+        t = arith.build_sieve(m)
+        for name in ("mobius", "totient", "vonmangoldt", "spf"):
+            got, want = getattr(t, name), getattr(big, name)[: m + 1]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (m, name)
+
+
+def test_sieve_spf_beyond_3000(tables):
+    for n in np.random.default_rng(3).integers(3000, 100_001, 300).tolist():
+        least = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+        assert tables.spf[n] == least, n
+
+
 def test_sieve_limit_guard():
     with pytest.raises(ValueError):
         arith.build_sieve(0)

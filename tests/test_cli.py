@@ -49,6 +49,14 @@ def test_exit_zero_sieve(tmp_path, capsys):
     assert rec["stats"]["psi"] == pytest.approx(996.87, abs=0.5)
 
 
+@pytest.mark.parametrize("N, primes", [(100_000, 9592), (1_000_000, 78498)])
+def test_sieve_prime_count(tmp_path, capsys, N, primes):
+    # the count runs in steps of arith._SIEVE_STEP entries; 10^6 spans four
+    assert run(tmp_path, "sieve", "--N", str(N)) == 0
+    assert f"primes={primes} " in capsys.readouterr().out
+    assert manifest_lines(tmp_path)[-1]["stats"]["primes"] == primes
+
+
 def test_exit_two_bad_weight(tmp_path, capsys):
     assert run(tmp_path, "unorm", "--weight", "nonsense") == 2
     assert "precondition" in capsys.readouterr().err
@@ -742,6 +750,15 @@ def test_verb_flags():
            for verb, sp in sub.choices.items()}
     assert got == {verb: {"--config", "--out-dir", *flags.split()}
                    for verb, flags in VERB_FLAGS.items()}
+
+
+def test_parser_built_once(tmp_path):
+    # one parser serves every main call of a process, and a run that sets
+    # --qs leaves the default list of the next run as it was
+    assert cli.build_parser() is cli.build_parser()
+    assert run(tmp_path, "decay", "--qs", "2", "--mode", "cyclic") == 0
+    assert run(tmp_path, "decay", "--mode", "cyclic") == 0
+    assert manifest_lines(tmp_path)[-1]["params"]["qs"] == [2, 4, 8]
 
 
 def test_experiment_steps_parse(tmp_path):
