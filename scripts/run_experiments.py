@@ -10,8 +10,9 @@ Usage:
     python3 scripts/run_experiments.py [--out-dir results] [--full]
 
 --full raises the heavy sizes (decay M = 2^15, model distance up to 10^6)
-from the default quick profile to the flagship ones.  On a 2-core machine
-the quick profile took 4-5 s and --full 72 s, 71 s of it the decay step.
+from the default quick profile to the flagship ones.  On a 2-core machine,
+with --threads at its default (both cores), the quick profile took 2-3.5 s
+and --full 28 s, 27 s of it the decay step.
 """
 
 import argparse

@@ -32,12 +32,20 @@ record (timestamps, parameters, stats, CSV digest) to ``manifest.jsonl``, in
 The U^3 cost model is gowers._plan_work (rows * n log2 n per bucket) of the
 kernel's own plan gowers._u3_buckets, scaled by the frozen coefficient
 calibration.U3_SECONDS_PER_WORK, so one argv is always priced the same and
---budget-seconds means seconds on the reference box that coefficient was
-measured on; work over the budget is refused with exit code 3 before any
-heavy allocation.  A budget that is NaN, infinite, zero or negative, an integer
-below its _AT_LEAST bound (by flag, or by config key for ns and threads) and
-an --out-dir that mkdir would refuse exit 2 before any verb runs;
---oversample below 2 and a repeated decay --qs entry exit 2 from the verb.
+--budget-seconds means one-thread seconds on the reference box that
+coefficient was measured on, whatever --threads is; work over the budget is
+refused with exit code 3 before any heavy allocation.  A budget that is
+NaN, infinite, zero or negative, an integer below its _AT_LEAST bound (by
+flag, or by config key for ns and threads) and an --out-dir that mkdir would
+refuse exit 2 before any verb runs; --oversample below 2 and a repeated
+decay --qs entry exit 2 from the verb.
+
+--threads (unorm, decay, approx) is the worker count of the interval U^3
+kernel.  It defaults to the CPUs the process may run on
+(gowers.usable_cpus: os.sched_getaffinity, else os.cpu_count()), and the
+manifest records it; the kernel uses no more workers than that count, and
+one below length gowers._U3_THREADED_LEN.  Every value is bitwise the same
+for any thread count.
 
 Each verb takes --config and --out-dir plus only the flags it reads; any other
 flag is refused by argparse with exit code 2.  --config reads the INI [sweep]
@@ -448,7 +456,8 @@ def cmd_approx(args) -> tuple[dict, tuple | None]:
 # ---------------------------------------------------------------------------
 
 
-# the flags that more than one verb takes, by name
+# the flags that more than one verb takes, by name; build_parser adds --threads,
+# whose default it reads when it builds the parser
 _FLAGS = {
     "--config": dict(default=None),
     "--out-dir": dict(default="results"),
@@ -457,7 +466,6 @@ _FLAGS = {
     "--weight": dict(default="hbsum:T=4"),
     "--cache-dir": dict(default=None),
     "--oversample": dict(type=int, default=8),
-    "--threads": dict(type=int, default=1),
     "--budget-seconds": dict(type=float, default=600.0),
     "--seed": dict(type=int, default=1),
     "--system": dict(default="rotation:alpha=sqrt2"),
@@ -470,11 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hbg", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="verb", required=True)
+    flags = {**_FLAGS, "--threads": dict(type=int, default=gowers.usable_cpus())}
 
-    def verb(name, help, *flags):
+    def verb(name, help, *names):
         sp = sub.add_parser(name, help=help)
-        for flag in ("--config", "--out-dir", *flags):
-            sp.add_argument(flag, **_FLAGS[flag])
+        for flag in ("--config", "--out-dir", *names):
+            sp.add_argument(flag, **flags[flag])
         return sp
 
     verb("sieve", "build (and optionally cache) sieve tables", "--N", "--cache-dir")

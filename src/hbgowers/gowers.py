@@ -22,19 +22,25 @@ counted twice when the rows are real):
       and they pad tighter.  The same rule pads the zero-padded
       convolutions in averages (``_fft_convolve`` and the rtt rows); at
       L = 2^k it gives the power of two 2^(k+1).
-    * U^3 raw = sum_{h} U^2raw(Delta_h f), the kernel on the rows Delta_h f
-      of :func:`_shift_rows`.  Row h has L - h nonzero entries, so it is
-      padded to the shortest even 5-smooth n >= 2(L - h) - 1 and the shifts
-      are bucketed by n (:func:`_u3_buckets`); only rounding depends on n.
+    * U^3 raw = sum_{h} U^2raw(Delta_h f), the kernel on the rows Delta_h f,
+      read from one window view of the conjugate per call.  Row h has
+      L - h nonzero entries, so it is padded to the shortest even 5-smooth
+      n >= 2(L - h) - 1 and the shifts are bucketed by n
+      (:func:`_u3_buckets`); only rounding depends on n.
     * the cyclic U^2 and U^3 norms, the kernel at n = P on f and on the
       cyclic Delta_h f, windows of the doubled period.
 One driver, :func:`_run_rows`, runs every row kernel, here and in averages,
 over a plan of (lo, end, n) buckets, each cut by the one rule :func:`_batches`
-into batches of about _BATCH_POINTS points; each row's value is computed on
-its own, so the batch size and the thread count never move a number.  Two
-readers of a plan stand beside it: :func:`_plan_work`, the FFT work the cli
-cost model prices, and :func:`_plan_rows`, the rows of the largest batch,
-which sizes the buffers the averages kernels reuse across batches.
+into batches of about _BATCH_POINTS / workers points, so the points in
+flight on all workers together stay about _BATCH_POINTS; the workers are
+capped at :func:`usable_cpus`, and each row's value is computed on its own,
+so the batch size and the thread count never move a number.  Only the
+interval U^3 runs on more than one worker, and only from L =
+_U3_THREADED_LEN; every other kernel passes none and runs its one-worker
+batches on the calling thread.
+Two readers of a plan stand beside it: :func:`_plan_work`, the FFT work the
+cli cost model prices, and :func:`_plan_rows`, the rows of the largest
+batch, which sizes the buffers the averages kernels reuse across batches.
 
 The brute-force evaluator walks the h-tuples of the definition literally and
 is the oracle the fast paths are tested against.
@@ -46,6 +52,7 @@ a quadratic phase cancels in the 8-fold product.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -57,8 +64,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 _BRUTE_LEN_MAX = {1: 8192, 2: 2048, 3: 128}
-# points per batch of rows, read by _batches alone: 2-4 MB, a per-core L2
+# points in flight in the row driver, split among its workers; read by _batches
+# alone (2-4 MB, a per-core L2, when one worker holds them all)
 _BATCH_POINTS = 1 << 18
+# gowers_u3_fast runs shorter series on one worker: on two cores, two workers
+# ran 0.79-1.05x as fast as one at L = 1024 and 0.96-1.68x at L = 2048 (real
+# rows, interleaved medians over several rounds)
+_U3_THREADED_LEN = 2048
 _CYCLIC_P_MAX = 4096
 _CYCLIC_BRUTE_P_MAX = 32
 
@@ -188,9 +200,14 @@ def gowers_u2_fast(f: Series) -> float:
     return float(_pow4_rows(f.values[None, :], _smooth_lengths(2 * L - 1)[-1])[0])
 
 
-def _batches(lo: int, hi: int, n: int) -> list[tuple[int, int]]:
-    """[lo, hi) cut into ranges [a, b) of max(1, _BATCH_POINTS // n) rows at most."""
-    batch = max(1, _BATCH_POINTS // n)
+def _batches(lo: int, hi: int, n: int, workers: int = 1) -> list[tuple[int, int]]:
+    """[lo, hi) cut into ranges [a, b) of max(1, _BATCH_POINTS // (n * workers)) rows at most.
+
+    Each of the ``workers`` threads :func:`_run_rows` runs holds one batch at a
+    time, so the points in flight stay about _BATCH_POINTS for any ``workers``;
+    one worker cuts the serial kernels' batches.
+    """
+    batch = max(1, _BATCH_POINTS // (n * workers))
     return [(a, min(a + batch, hi)) for a in range(lo, hi, batch)]
 
 
@@ -216,34 +233,47 @@ def _plan_rows(plan: list[tuple[int, int, int]]) -> int:
     return max(b - a for lo, end, n in plan for a, b in _batches(lo, end, n))
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the cli's --threads default, and the
+    most workers :func:`_run_rows` uses."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_rows(plan: list[tuple[int, int, int]], rows_fn, workers: int = 1) -> np.ndarray:
     """out[a:b] = rows_fn(a, b, n) for each batch [a, b) of each plan bucket (lo, end, n).
 
-    The buckets are cut by :func:`_batches` and out has the plan's last end
-    entries, so no value depends on ``workers``.  With workers > 1 and more than
-    one batch, rows_fn runs on a thread pool and must be thread-safe.
+    ``workers`` is capped at :func:`usable_cpus` first, then the buckets are
+    cut by :func:`_batches` for it, so neither the batch size nor the thread
+    count follows a worker count past the cores.  out has the plan's last end
+    entries and each row is computed on its own, so no value depends on
+    ``workers``.  The batch list is dealt into k = min(workers, batches)
+    strided shares: the calling thread runs share 0 and a pool of k - 1
+    threads the rest (each pool thread takes a malloc arena of its own, so
+    the caller working keeps the peak memory down), so rows_fn must be
+    thread-safe when k > 1, and one worker starts no thread.  A share's
+    exception is re-raised here.
     """
-    jobs = [(a, b, n) for lo, end, n in plan for a, b in _batches(lo, end, n)]
-    if workers == 1 or len(jobs) == 1:
-        values = (rows_fn(*job) for job in jobs)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(lambda job: rows_fn(*job), jobs))
+    if workers > 1:
+        workers = min(workers, usable_cpus())
+    jobs = [(a, b, n) for lo, end, n in plan for a, b in _batches(lo, end, n, workers)]
     out = np.empty(plan[-1][1])
-    for (a, b, _), v in zip(jobs, values):
-        out[a:b] = v
+
+    def run(share):
+        for a, b, n in share:
+            out[a:b] = rows_fn(a, b, n)
+
+    k = min(workers, len(jobs))
+    if k == 1:
+        run(jobs)
+    else:
+        with ThreadPoolExecutor(max_workers=k - 1) as pool:
+            shares = [pool.submit(run, jobs[t::k]) for t in range(1, k)]
+            run(jobs[::k])
+            for share in shares:
+                share.result()
     return out
-
-
-def _shift_rows(values: np.ndarray, conj_ext: np.ndarray, lo: int, hi: int,
-                W: int, n: int) -> np.ndarray:
-    """_pow4_rows at length n of the rows values[:W] * conj_ext[h : h + W], lo <= h < hi.
-
-    Delta_h f when conj_ext is conj(values) padded by L zeros and W = L - lo;
-    the cyclic Delta_h f when it is the conjugated doubled period and W = n = P.
-    """
-    rows = values[None, :W] * sliding_window_view(conj_ext, W)[lo:hi]
-    return _pow4_rows(rows, n)
 
 
 def _check_workers(workers: int) -> None:
@@ -256,9 +286,14 @@ def gowers_u3_fast(f: Series, workers: int = 1) -> float:
 
     Work is split over nonnegative shifts only (U^2raw(Delta_{-h} f) equals
     U^2raw(Delta_h f): Delta_{-h} f is a conjugated translate of Delta_h f).
-    Per-h values land in a preallocated array and are reduced in fixed order,
-    and the batches depend on L alone, so the result is bitwise identical for
-    any ``workers``.
+    Row h of a batch [a, b) is values[:L - a] * conj(values)[h : h + L - a],
+    zero past the end, read from one window view of the zero-padded conj.
+    Each row's value lands in a preallocated array, reduced in fixed order,
+    so the result is bitwise identical for any ``workers``.  Below L =
+    _U3_THREADED_LEN the rows are too short to gain from threads and one
+    worker runs them; from there :func:`_run_rows` cuts the batches to
+    1/workers of the one-worker size, so the points in flight stay about
+    _BATCH_POINTS.
     """
     _check_workers(workers)
     L = f.length
@@ -268,8 +303,10 @@ def gowers_u3_fast(f: Series, workers: int = 1) -> float:
     if not np.iscomplexobj(values):
         values = values.astype(np.float64)
     conj_padded = np.concatenate([np.conj(values), np.zeros(L, dtype=values.dtype)])
-    per_h = _run_rows(_u3_buckets(L), lambda a, b, n: _shift_rows(
-        values, conj_padded, a, b, L - a, n), workers)
+    win = sliding_window_view(conj_padded, L)
+    per_h = _run_rows(_u3_buckets(L), lambda a, b, n: _pow4_rows(
+        values[None, : L - a] * win[a:b, : L - a], n),
+        workers if L >= _U3_THREADED_LEN else 1)
     return float(per_h[0] + 2.0 * np.sum(per_h[1:]))
 
 
@@ -323,8 +360,8 @@ def gowers_cyclic(values: np.ndarray, s: int) -> float:
     # sum_j |fhat(j)|^4 with the expectation-normalized DFT is pow4 / P^3
     if s == 2:
         return float((_pow4_rows(v[None, :], P)[0] / P**3) ** 0.25)
-    conj_ext = np.conj(np.concatenate([v, v]))
-    per_h = _run_rows([(0, P, P)], lambda a, b, n: _shift_rows(v, conj_ext, a, b, P, n))
+    win = sliding_window_view(np.conj(np.concatenate([v, v])), P)  # row h: conj f(x + h)
+    per_h = _run_rows([(0, P, P)], lambda a, b, n: _pow4_rows(v[None, :] * win[a:b], n))
     return float((float(np.sum(per_h)) / P**4) ** (1.0 / 8.0))
 
 

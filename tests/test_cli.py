@@ -761,6 +761,69 @@ def test_parser_built_once(tmp_path):
     assert manifest_lines(tmp_path)[-1]["params"]["qs"] == [2, 4, 8]
 
 
+@pytest.fixture
+def fresh_parser():
+    # the --threads default is read when the parser is built, and the parser
+    # is built once per process
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("argv, csv", [
+    ("unorm --weight hb:Q=4 --N 3000 --s 3", "unorm_hb_Q=4_3000.csv"),
+    ("decay --qs 2 --M 4096 --mode both", "decay_both.csv"),
+])
+def test_threads_write_identical_csvs(tmp_path, argv, csv):
+    # the interval U^3 computes each row on its own, so --threads moves no byte
+    data = set()
+    for threads in ([], ["--threads", "1"], ["--threads", "2"], ["--threads", "3"]):
+        out = tmp_path / (threads[-1] if threads else "default")
+        assert run(out, *argv.split(), *threads) == 0
+        data.add((out / csv).read_bytes())
+    assert len(data) == 1
+
+
+def test_threads_default_is_the_usable_cpus(tmp_path, monkeypatch, fresh_parser):
+    # --threads defaults to the CPUs the process may run on, the manifest
+    # records the number, and the U^3 kernel gets it
+    seen = []
+    u3_fast = gowers.gowers_u3_fast
+
+    def record(f, workers=1):
+        seen.append(workers)
+        return u3_fast(f, workers)
+
+    monkeypatch.setattr(gowers, "gowers_u3_fast", record)
+    usable = len(os.sched_getaffinity(0))
+    assert cli.build_parser().parse_args(["unorm"]).threads == usable
+    assert run(tmp_path, "unorm", "--N", "300", "--s", "3") == 0
+    assert manifest_lines(tmp_path)[-1]["params"]["threads"] == usable
+    assert usable in seen
+    # a config threads = 1 still replaces the default
+    ini = tmp_path / "sweep.ini"
+    ini.write_text("[sweep]\nthreads = 1\n")
+    seen.clear()
+    assert run(tmp_path, "decay", "--qs", "2", "--M", "300", "--mode", "interval",
+               "--config", str(ini)) == 0
+    assert manifest_lines(tmp_path)[-1]["params"]["threads"] == 1
+    assert set(seen) == {1}
+    # the affinity set is what counts, not the CPUs of the machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    cli.build_parser.cache_clear()
+    assert run(tmp_path, "approx", "--ns", "1000", "--s", "2") == 0
+    assert manifest_lines(tmp_path)[-1]["params"]["threads"] == 3
+
+
+def test_threads_default_without_affinity(monkeypatch, fresh_parser):
+    # where the platform has no sched_getaffinity, os.cpu_count() or 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, threads in ((5, 5), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        cli.build_parser.cache_clear()
+        assert cli.build_parser().parse_args(["decay"]).threads == threads
+
+
 def test_experiment_steps_parse(tmp_path):
     # every step of both profiles of scripts/run_experiments.py parses, and
     # the steps cover every verb; no verb runs

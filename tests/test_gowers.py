@@ -1,6 +1,9 @@
 """Gowers norms: brute force vs FFT paths, normalizers, invariances."""
 
+import sys
+import threading
 from bisect import bisect_left
+from concurrent.futures import Future
 from math import isclose, log2
 
 import numpy as np
@@ -76,20 +79,34 @@ def test_fast_vs_brute_u3():
             assert gowers.gowers_u3_fast(f) == pytest.approx(b, rel=1e-9)
 
 
-def test_u3_worker_determinism():
+@pytest.fixture
+def cpus(monkeypatch):
+    """Let _run_rows use up to the given worker count, whatever the machine has."""
+    def allow(count):
+        monkeypatch.setattr(gowers, "usable_cpus", lambda: count)
+    return allow
+
+
+def test_u3_worker_determinism(monkeypatch, cpus):
+    # thread every length, on as many workers as asked for
+    monkeypatch.setattr(gowers, "_U3_THREADED_LEN", 1)
+    cpus(4)
     rng = np.random.default_rng(4)
     f = random_series(rng, 700)
     r1 = gowers.gowers_u3_fast(f, workers=1)
     r2 = gowers.gowers_u3_fast(f, workers=2)
     r4 = gowers.gowers_u3_fast(f, workers=4)
     assert r1 == r2 == r4  # bitwise
-    # the batches come from the plan _u3_buckets(L) alone: at L = 700 its 76
-    # FFT-length buckets run as one batch each, at L = 3000 the first bucket
-    # (n = 6000) is cut into batches of 43 and 41 rows
-    f = random_series(rng, 3000)
-    r1 = gowers.gowers_u3_fast(f, workers=1)
-    assert gowers.gowers_u3_fast(f, workers=2) == r1
-    assert gowers.gowers_u3_fast(f, workers=3) == r1
+    # the batches come from the plan _u3_buckets(L) and the worker count: at
+    # L = 700 its 76 FFT-length buckets run as one batch each on one worker,
+    # at L = 3000 the first bucket (n = 6000) is cut into batches of 43 and
+    # 41 rows on one worker and of 21 rows on two; every row is computed on
+    # its own, so no cut moves a value, real or complex
+    for L in (700, 3000):
+        for real in (False, True):
+            f = random_series(rng, L, real)
+            r1 = gowers.gowers_u3_fast(f, workers=1)
+            assert all(gowers.gowers_u3_fast(f, workers=w) == r1 for w in (2, 3, 4)), (L, real)
 
 
 @pytest.mark.parametrize("points", [1 << 10, 1 << 22])
@@ -112,7 +129,7 @@ def test_batch_budget_does_not_change_values(monkeypatch, points):
 
 
 @pytest.mark.parametrize("points", [None, 1 << 10])
-def test_run_rows_writes_every_row_once(monkeypatch, points):
+def test_run_rows_writes_every_row_once(monkeypatch, cpus, points):
     # a rows_fn that returns its row indices (or -1 where n is not the row's
     # bucket length) gives 0, 1, ..., end - 1 only if every row of the plan is
     # written exactly once, over uneven last batches and for any worker count.
@@ -121,6 +138,7 @@ def test_run_rows_writes_every_row_once(monkeypatch, points):
     # 5-smooth n), the reused buffers' _plan_rows their largest
     if points is not None:
         monkeypatch.setattr(gowers, "_BATCH_POINTS", points)
+    cpus(3)
     plans = [gowers._u3_buckets(L) for L in (*range(1, 71), 700, 3000)]
     for plan in (*plans, [(0, 257, 3 * 257)]):
         end = plan[-1][1]
@@ -137,7 +155,141 @@ def test_run_rows_writes_every_row_once(monkeypatch, points):
             batches.sort()  # the order the pool ran them in is not fixed
             work = sum((b - a) * n * log2(n) for a, b, n in batches)
             assert isclose(gowers._plan_work(plan), work, rel_tol=1e-12)
-            assert gowers._plan_rows(plan) == max(b - a for a, b, _ in batches)
+            assert max(b - a for a, b, _ in batches) == max(
+                b - a for lo, hi, n in plan for a, b in gowers._batches(lo, hi, n, workers))
+            if workers == 1:
+                assert gowers._plan_rows(plan) == max(b - a for a, b, _ in batches)
+
+
+def test_batches_one_worker_is_the_serial_cut():
+    # one worker cuts every bucket into batches of max(1, _BATCH_POINTS // n)
+    # rows, the cut the serial kernels (u3mod, rtt, cyclic U^3) and their
+    # reused buffers are sized by; w workers cut batches w times smaller
+    plans = [gowers._u3_buckets(L) for L in (*range(1, 71), 700, 3000)]
+    for plan in (*plans, [(0, 257, 3 * 257)], [(0, 2 * 2048, 8 * 2048)]):
+        for lo, end, n in plan:
+            batch = max(1, gowers._BATCH_POINTS // n)
+            serial = [(a, min(a + batch, end)) for a in range(lo, end, batch)]
+            assert gowers._batches(lo, end, n) == gowers._batches(lo, end, n, 1) == serial
+    assert gowers._batches(0, 84, 6000) == [(0, 43), (43, 84)]
+    assert gowers._batches(0, 84, 6000, 2) == [(0, 21), (21, 42), (42, 63), (63, 84)]
+    assert gowers._batches(0, 3, 1 << 18, 4) == [(0, 1), (1, 2), (2, 3)]
+
+
+def _ident_rows(idents):
+    def rows_fn(a, b, n):
+        idents.append(threading.get_ident())
+        return np.zeros(b - a)
+    return rows_fn
+
+
+def test_run_rows_caps_workers_at_the_cpus(monkeypatch, cpus):
+    # a worker count past the cores neither starts more threads nor cuts
+    # smaller batches: 10000 workers run as usable_cpus() workers would.  The
+    # stand-in pool records its size and runs each share on the caller
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, share):
+            future = Future()
+            future.set_result(fn(share))
+            return future
+
+    monkeypatch.setattr(gowers, "ThreadPoolExecutor", Pool)
+    plan = gowers._u3_buckets(8192)
+    for count in (gowers.usable_cpus(), 2, 3):
+        cpus(count)
+        sizes.clear()
+        batches = []
+        out = gowers._run_rows(plan, lambda a, b, n: batches.append((a, b, n)) or np.zeros(b - a),
+                               10000)
+        assert out.shape == (8192,)
+        assert sizes == ([count - 1] if count > 1 else [])
+        assert sorted(batches) == [(a, b, n) for lo, end, n in plan
+                                   for a, b in gowers._batches(lo, end, n, count)]
+
+
+def test_run_rows_caller_is_a_worker(cpus):
+    # the calling thread runs share 0, and no run starts more threads than it
+    # has batches: 8 workers on a 2-batch plan use the caller and one more
+    cpus(8)
+    plan = [(0, 2, 1 << 18)]
+    assert len(gowers._batches(0, 2, 1 << 18, 8)) == 2
+    idents = []
+    gowers._run_rows(plan, _ident_rows(idents), 8)
+    assert threading.get_ident() in idents
+    assert len(idents) == 2 and len(set(idents)) <= 2
+
+
+def test_u3_threads_from_the_threaded_length(monkeypatch):
+    # series shorter than _U3_THREADED_LEN run their U^3 on one worker
+    seen = []
+    run_rows = gowers._run_rows
+
+    def record(plan, rows_fn, workers=1):
+        seen.append(workers)
+        return run_rows(plan, rows_fn, workers)
+
+    monkeypatch.setattr(gowers, "_run_rows", record)
+    rng = np.random.default_rng(8)
+    L = gowers._U3_THREADED_LEN
+    for length, workers in ((L - 1, 1), (L, 3)):
+        seen.clear()
+        gowers.gowers_u3_fast(random_series(rng, length), workers=3)
+        assert seen == [workers]
+
+
+def test_run_rows_threads_lose_no_row(cpus):
+    # more workers than cores, switching threads as often as the interpreter
+    # allows: the shares write disjoint slices of one array, so every row
+    # still lands once
+    cpus(8)
+    plan = gowers._u3_buckets(3000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            out = gowers._run_rows(plan, lambda a, b, n: np.arange(a, b) * 1.0, 8)
+            assert (out == np.arange(3000)).all()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_run_rows_one_worker_starts_no_thread(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(gowers, "ThreadPoolExecutor", refuse)
+    idents = []
+    out = gowers._run_rows(gowers._u3_buckets(3000), _ident_rows(idents), 1)
+    assert out.shape == (3000,) and set(idents) == {threading.get_ident()}
+    # one batch runs on the caller for any worker count
+    gowers._run_rows([(0, 1, 8)], _ident_rows(idents), 4)
+    assert set(idents) == {threading.get_ident()}
+
+
+def test_run_rows_reraises_a_worker_exception(cpus):
+    # the second batch is share 1 of two, run on the pool, not on the caller
+    cpus(2)
+    caller = threading.get_ident()
+
+    def rows_fn(a, b, n):
+        if a == 1:
+            assert threading.get_ident() != caller
+            raise ZeroDivisionError("share 1")
+        return np.zeros(b - a)
+
+    with pytest.raises(ZeroDivisionError, match="share 1"):
+        gowers._run_rows([(0, 2, 1 << 18)], rows_fn, 2)
 
 
 def _is_5_smooth(k):
