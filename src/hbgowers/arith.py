@@ -32,6 +32,10 @@ from pathlib import Path
 import numpy as np
 
 _CACHE_MAGIC = b"HBG1"
+# the cache payload, one row of limit + 1 entries per field in this order:
+# (SieveTables field, little-endian 64-bit dtype on disk, dtype in memory)
+_LAYOUT = (("mobius", "<i8", np.int8), ("totient", "<u8", np.int64),
+           ("vonmangoldt", "<f8", np.float64), ("spf", "<u8", np.int64))
 
 # Hard cap on sieve size: four 8-byte arrays beyond this would not fit in any
 # desk machine, and the cache format stores the limit as an unsigned 64-bit
@@ -118,18 +122,15 @@ def build_sieve(limit: int) -> SieveTables:
 def save_sieve(tables: SieveTables, path: str | Path) -> None:
     """Write tables in the binary cache format.
 
-    Layout: magic ``HBG1``, unsigned 64-bit little-endian limit, then the four
-    arrays (each limit + 1 entries, 64-bit little-endian): mu signed, phi
-    unsigned, Lambda as IEEE-754 doubles, spf unsigned.
+    Layout: magic ``HBG1``, unsigned 64-bit little-endian limit, then one
+    row of limit + 1 entries per field of ``_LAYOUT``, in its order and in
+    its disk dtype.
     """
-    path = Path(path)
     with open(path, "wb") as fh:
         fh.write(_CACHE_MAGIC)
         fh.write(struct.pack("<Q", tables.limit))
-        fh.write(tables.mobius.astype("<i8").tobytes())
-        fh.write(tables.totient.astype("<u8").tobytes())
-        fh.write(tables.vonmangoldt.astype("<f8").tobytes())
-        fh.write(tables.spf.astype("<u8").tobytes())
+        for name, disk, _ in _LAYOUT:
+            fh.write(getattr(tables, name).astype(disk).tobytes())
 
 
 def load_sieve(path: str | Path) -> SieveTables:
@@ -141,24 +142,13 @@ def load_sieve(path: str | Path) -> SieveTables:
     if len(raw) < 12:
         raise ValueError(f"{path}: truncated header, {len(raw)} bytes")
     (limit,) = struct.unpack_from("<Q", raw, 4)
-    count = limit + 1
-    need = 4 + 8 + 4 * 8 * count
+    need = 12 + 8 * len(_LAYOUT) * (limit + 1)
     if len(raw) != need:
         raise ValueError(f"{path}: expected {need} bytes for limit {limit}, got {len(raw)}")
-    off = 12
-
-    def take(dtype):
-        nonlocal off
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
-        off += 8 * count
-        return arr
-
-    mobius = take("<i8").astype(np.int8)
-    totient = take("<u8").astype(np.int64)
-    vonmangoldt = take("<f8").astype(np.float64)
-    spf = take("<u8").astype(np.int64)
-    return SieveTables(limit=int(limit), mobius=mobius, totient=totient,
-                       vonmangoldt=vonmangoldt, spf=spf)
+    rows = np.frombuffer(raw, "<u8", offset=12).reshape(len(_LAYOUT), limit + 1)
+    fields = {name: row.view(disk).astype(memory)
+              for (name, disk, memory), row in zip(_LAYOUT, rows)}
+    return SieveTables(limit=int(limit), **fields)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

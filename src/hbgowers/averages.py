@@ -48,12 +48,9 @@ _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-# rotation angles by name; doubling seeds take the same names as exact
-# fixed-point values, which differ from these floats in the last bits
-_NAMED_IRRATIONALS = {
-    "sqrt2": 2.0**0.5, "sqrt3": 3.0**0.5, "sqrt5": 5.0**0.5,
-    "golden": (5.0**0.5 - 1.0) / 2.0,
-}
+# named quadratic irrationals as (r, s, k): frac = (sqrt(r) - s) / 2^k, a float
+# angle for rotation and an exact fixed-point seed for doubling
+_QUADRATIC = {"sqrt2": (2, 1, 0), "sqrt3": (3, 1, 0), "sqrt5": (5, 2, 0), "golden": (5, 1, 1)}
 
 
 @dataclass
@@ -70,9 +67,10 @@ class SystemDescriptor:
 
 def rotation(alpha: str | float, x: float = 0.0) -> SystemDescriptor:
     """Rotation by alpha: a float, or sqrt2, sqrt3, sqrt5 or golden reduced mod 1."""
-    named = _NAMED_IRRATIONALS.get(alpha)
-    alpha = float(alpha) if named is None else named % 1.0
-    x = float(x)
+    if alpha in _QUADRATIC:
+        r, s, k = _QUADRATIC[alpha]
+        alpha = (r**0.5 - s) / 2**k
+    alpha, x = float(alpha), float(x)
     if not (isfinite(alpha) and isfinite(x)):
         raise ValueError("alpha and x must be finite")
     return SystemDescriptor(kind="rotation", params={"alpha": alpha, "x": x})
@@ -117,14 +115,9 @@ def _doubling_fixed_point(x: str | float, bits: int) -> int:
     """frac(x) as a big integer X with ``bits`` fractional bits."""
     if isinstance(x, str):
         name = x.strip()
-        if name == "sqrt2":
-            return isqrt(1 << (2 * bits + 1)) - (1 << bits)
-        if name == "sqrt3":
-            return isqrt(3 << (2 * bits)) - (1 << bits)
-        if name == "sqrt5":
-            return isqrt(5 << (2 * bits)) - (2 << bits)
-        if name == "golden":
-            return (isqrt(5 << (2 * bits)) - (1 << bits)) >> 1
+        if name in _QUADRATIC:
+            r, s, k = _QUADRATIC[name]
+            return (isqrt(r << (2 * bits)) - (s << bits)) >> k
         if "/" in name:
             p_str, q_str = name.split("/")
             p, q = int(p_str), int(q_str)
@@ -191,7 +184,7 @@ def _grid_modulus(pad: np.ndarray, spec: np.ndarray) -> np.ndarray:
     return np.abs(spec)
 
 
-def ww_sup_grid(w: Series, f: Series, N: int, oversample: int = 8) -> WWResult:
+def ww_sup_grid(w: Series, f: Series, N: int, *, oversample: int) -> WWResult:
     """Max over theta_j = j/(KN) of |E_{n<=N} w(n) e(n theta_j) f_n|.
 
     One inverse FFT of length K N evaluates every grid frequency; K >= 2

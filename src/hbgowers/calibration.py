@@ -33,9 +33,11 @@ script times interleaved real-input gowers_u3_fast runs at L = 1024, 2048,
 4096 and 8192 (one warm-up each, then 5 rounds) and divides the total
 seconds by the total gowers._plan_work.  Eight such runs (2026-10) gave
 6.8e-10 to 8.6e-10 s per unit as the host load moved; the value is the top
-of that range rounded up at the first digit.  It priced the mixed-length
-perfbench u3_interval traffic at 1.00 to 1.15 times its traced time in five
-traced passes (seeds 901-905).
+of that range rounded up at the first digit.  The estimate is in one-thread
+seconds: it priced the mixed-length perfbench u3_interval traffic at 1.00 to
+1.15 times its traced time while those jobs ran one thread, and now that
+they run on every usable core the traced ratio reads 1.62 to 1.73 (ROADMAP
+item 4).
 """
 
 # worst observed lhs/rhs ratio x 2, rounded up; u2 is the proven constant

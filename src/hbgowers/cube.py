@@ -48,16 +48,9 @@ import numpy as np
 
 from hbgowers.arith import factorize, is_squarefree, rad, ramanujan_table
 
-# face (axis i in 1..3, side j in {1, 0}) -> bitmask of member vertices;
-# scan order fixes the deterministic greening run
-FACES: list[tuple[int, int, int]] = []
-for _axis in (1, 2, 3):
-    for _side in (1, 0):
-        _mask = 0
-        for _v in range(8):
-            if (_v >> (_axis - 1)) & 1 == _side:
-                _mask |= 1 << _v
-        FACES.append((_axis, _side, _mask))
+# face masks: bit v set when w_i = j at vertex v, for axis i = 1..3 and side
+# j = 1 before j = 0; this scan order fixes the deterministic greening run
+FACES: list[int] = [0b10101010, 0b01010101, 0b11001100, 0b00110011, 0b11110000, 0b00001111]
 
 _SIGN = np.array([(-1) ** bin(v).count("1") for v in range(8)], dtype=np.int64)
 
@@ -92,7 +85,7 @@ class CubeTuple:
 
 def admissible(marked: int) -> bool:
     """Every face carries 0 or >= 2 marked vertices."""
-    return all(bin(marked & m).count("1") != 1 for _, _, m in FACES)
+    return all(bin(marked & m).count("1") != 1 for m in FACES)
 
 
 def greening_run(config: VertexConfig) -> tuple[bool, list[int]]:
@@ -108,7 +101,7 @@ def greening_run(config: VertexConfig) -> tuple[bool, list[int]]:
     order: list[int] = []
     while green != marked:
         progressed = False
-        for _, _, m in FACES:
+        for m in FACES:
             pending = marked & m & ~green
             if pending and pending & (pending - 1) == 0:  # exactly one non-green
                 green |= pending
@@ -156,7 +149,7 @@ def count_numerators(mask: int, p: int) -> int:
     grids = np.meshgrid(*[np.arange(1, p, dtype=np.int64)] * k, indexing="ij")
     tuples = np.stack([g.ravel() for g in grids])  # k x (p-1)^k
     rows = [np.array([int(_SIGN[v]) for v in bits], dtype=np.int64)]
-    for _, _, m in FACES:
+    for m in FACES:
         rows.append(np.array([int(_SIGN[v]) if (1 << v) & m else 0 for v in bits],
                              dtype=np.int64))
     ok = np.ones(tuples.shape[1], dtype=bool)

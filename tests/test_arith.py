@@ -1,5 +1,6 @@
 """Sieve tables, Ramanujan sums, and real characters against slow oracles."""
 
+import hashlib
 from math import isqrt
 
 import numpy as np
@@ -257,6 +258,13 @@ def test_sieve_cache_roundtrip(tmp_path, tables):
     assert (loaded.totient == small.totient).all()
     assert (loaded.vonmangoldt == small.vonmangoldt).all()
     assert (loaded.spf == small.spf).all()
+    assert [t.dtype for t in (loaded.mobius, loaded.totient, loaded.vonmangoldt, loaded.spf)] \
+        == [np.int8, np.int64, np.float64, np.int64]
+    # the HBG1 bytes themselves: 12 header bytes, then 4 rows of 778 64-bit entries
+    raw = path.read_bytes()
+    assert len(raw) == 24_908
+    assert hashlib.sha256(raw).hexdigest() == (
+        "f3ce3a894cf40cc21d32066f38ebc16657472062ede316589932b63262234725")
 
 
 def test_sieve_cache_rejects_corruption(tmp_path):

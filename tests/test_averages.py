@@ -116,6 +116,17 @@ def test_doubling_windows_exact(x):
         assert got.tobytes() == expected.tobytes(), N
 
 
+def test_doubling_named_seeds_exact():
+    # X = floor(2^bits frac(x)) for x = (sqrt(r) - s) / 2^k, checked in exact
+    # integers: (2^k X + s 2^bits)^2 <= r 4^bits < (2^k (X + 1) + s 2^bits)^2
+    named = {"sqrt2": (2, 1, 0), "sqrt3": (3, 1, 0), "sqrt5": (5, 2, 0), "golden": (5, 1, 1)}
+    for name, (r, s, k) in named.items():
+        for bits in (64, 72, 128, 1032, 131144):
+            X = averages._doubling_fixed_point(name, bits)
+            low, high = (((X + d) << k) + (s << bits) for d in (0, 1))
+            assert low * low <= r << (2 * bits) < high * high, (name, bits)
+
+
 def test_system_labels():
     assert "rotation" in averages.rotation(0.1, 0.0).label()
     assert "doubling" in averages.doubling("sqrt2").label()
@@ -126,6 +137,9 @@ def test_rotation_names_and_finite_guard():
     # a named alpha is reduced mod 1 (the CLI labels depend on it); a float is
     # kept as given; a library caller gets the CLI's non-finite refusal
     assert averages.rotation("sqrt2").label() == "rotation:alpha=0.41421356237309515,x=0.0"
+    assert averages.rotation("sqrt3").label() == "rotation:alpha=0.7320508075688772,x=0.0"
+    assert averages.rotation("sqrt5").label() == "rotation:alpha=0.2360679774997898,x=0.0"
+    assert averages.rotation("golden").label() == "rotation:alpha=0.6180339887498949,x=0.0"
     assert averages.rotation(1.25, 0.5).params == {"alpha": 1.25, "x": 0.5}
     for alpha, x in ((float("nan"), 0.0), (0.3, float("inf")), ("-inf", 0.0)):
         with pytest.raises(ValueError, match="finite"):
@@ -200,7 +214,7 @@ def test_ww_sup_grid_guards():
     with pytest.raises(ValueError):
         averages.ww_sup_grid(ones, f, N, oversample=1)
     with pytest.raises(ValueError):
-        averages.ww_sup_grid(ones, f, N + 1)
+        averages.ww_sup_grid(ones, f, N + 1, oversample=8)
 
 
 def test_rtt_average_fixtures():

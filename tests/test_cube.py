@@ -1,6 +1,7 @@
 """Cube combinatorics: greening, numerator counts, product expectations."""
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import numpy as np
@@ -22,7 +23,7 @@ def popcount(m: int) -> int:
 
 def test_faces_cover_each_vertex_three_times():
     counts = [0] * 8
-    for _, _, mask in cube.FACES:
+    for mask in cube.FACES:
         assert popcount(mask) == 4
         for v in range(8):
             if mask >> v & 1:
@@ -34,7 +35,7 @@ def test_admissible_examples():
     assert cube.admissible(0)
     assert cube.admissible(0b11111111)
     assert not cube.admissible(1)  # lone vertex: three faces see exactly one
-    face0 = cube.FACES[0][2]
+    face0 = cube.FACES[0]
     assert cube.admissible(face0)  # a full face
 
 
@@ -48,7 +49,7 @@ def test_admissible_size4_are_exactly_the_full_faces_and_tetrahedra():
     # size-4 admissible sets: each face meets them in 0, 2 or 4 vertices
     found = sorted(m for m in range(256)
                    if popcount(m) == 4 and cube.admissible(m))
-    faces = sorted(set(mask for _, _, mask in cube.FACES))
+    faces = sorted(set(cube.FACES))
     even_tet = sum(1 << v for v in range(8) if popcount(v) % 2 == 0)
     odd_tet = sum(1 << v for v in range(8) if popcount(v) % 2 == 1)
     diagonals = []  # pairs of opposite edges
@@ -123,7 +124,7 @@ def test_minimal_seed_table():
 
 def test_minimal_seed_fixtures():
     assert cube.minimal_seed(0) == 0
-    face = cube.FACES[0][2]
+    face = cube.FACES[0]
     assert cube.minimal_seed(face) == 1
     # full cube: one green face is needed before anything propagates, so the
     # |T| <= |S| - 4 = 4 bound is attained exactly
@@ -198,7 +199,7 @@ def test_parity_tetrahedron_vanishes_for_odd_p():
 
 def test_faces_have_positive_counts():
     for p in (2, 3, 5, 7):
-        for _, _, mask in cube.FACES:
+        for mask in cube.FACES:
             assert cube.count_numerators_exact(mask, p) == p - 1 if p > 2 else 1
 
 
@@ -300,28 +301,25 @@ def test_expectation_factors_over_primes(qs_list):
 
 
 def test_interval_box_count_brute():
-    def brute(M):
+    # each shift h fits M minus the spread of the vertex offsets w.h boxes
+    def brute(M, s):
         c = 0
-        rng_h = range(-(M - 1), M)
-        for h1 in rng_h:
-            for h2 in rng_h:
-                for h3 in rng_h:
-                    sums = [0, h1, h2, h3, h1 + h2, h1 + h3, h2 + h3,
-                            h1 + h2 + h3]
-                    n = M - (max(sums) - min(sums))
-                    if n > 0:
-                        c += n
+        for h in product(range(-(M - 1), M), repeat=s):
+            sums = [sum(hi for hi, wi in zip(h, w) if wi) for w in product((0, 1), repeat=s)]
+            c += max(M - (max(sums) - min(sums)), 0)
         return c
 
-    for M in (1, 2, 3, 5, 8):
-        assert cube.interval_box_count(M, 3) == brute(M)
+    for s in (1, 2, 3):
+        for M in (1, 2, 3, 5, 8):
+            assert cube.interval_box_count(M, s) == brute(M, s), (M, s)
 
 
 def test_interval_box_count_matches_normalizer():
-    # the raw U^3 mass of the interval indicator counts exactly these boxes
-    for M in (1, 2, 5, 16, 64):
-        assert cube.interval_box_count(M, 3) == pytest.approx(
-            gowers.interval_normalizer(M, 3))
+    # the raw U^s mass of the interval indicator counts exactly these boxes
+    for s in (1, 2, 3):
+        for M in (1, 2, 5, 16, 64):
+            assert cube.interval_box_count(M, s) == pytest.approx(
+                gowers.interval_normalizer(M, s)), (M, s)
 
 
 def test_diagonal_decomposition_Q2_collapses():
