@@ -24,7 +24,9 @@ Provides:
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from pathlib import Path
@@ -124,13 +126,20 @@ def save_sieve(tables: SieveTables, path: str | Path) -> None:
 
     Layout: magic ``HBG1``, unsigned 64-bit little-endian limit, then one
     row of limit + 1 entries per field of ``_LAYOUT``, in its order and in
-    its disk dtype.
+    its disk dtype.  The bytes go to a temporary file of this process and thread
+    beside ``path`` that replaces it once whole, so a failed save leaves none.
     """
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<Q", tables.limit))
-        for name, disk, _ in _LAYOUT:
-            fh.write(getattr(tables, name).astype(disk).tobytes())
+    tmp = Path(f"{path}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CACHE_MAGIC)
+            fh.write(struct.pack("<Q", tables.limit))
+            for name, disk, _ in _LAYOUT:
+                fh.write(getattr(tables, name).astype(disk).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_sieve(path: str | Path) -> SieveTables:

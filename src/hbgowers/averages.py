@@ -34,7 +34,7 @@ sweep in scripts/calibrate_ineq.py and frozen in calibration.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite, isqrt
 
@@ -58,7 +58,7 @@ class SystemDescriptor:
     """One of the shipped measure-preserving systems plus its parameters."""
 
     kind: str  # "rotation" | "doubling" | "signs"
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def label(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))

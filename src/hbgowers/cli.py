@@ -30,11 +30,12 @@ record (timestamps, parameters, stats, CSV digest) to ``manifest.jsonl``, in
 --out-dir, made only after the verb returns.
 
 The U^3 cost model is gowers._plan_work (rows * n log2 n per bucket) of the
-kernel's own plan gowers._u3_buckets, scaled by the frozen coefficient
-calibration.U3_SECONDS_PER_WORK, so one argv is always priced the same and
---budget-seconds means one-thread seconds on the reference box that
-coefficient was measured on, whatever --threads is; work over the budget is
-refused with exit code 3 before any heavy allocation.  A budget that is
+kernel's own plan (gowers._u3_buckets, or gowers._cyclic_plan for a cyclic
+norm) times the frozen coefficient calibration.U3_SECONDS_PER_WORK, so one
+argv is always priced the same, in one-thread seconds on the reference box,
+whatever --threads is.  --budget-seconds bounds a run: unorm, decay and
+approx sum the estimates of all their U^3 items and exit 3 over the budget
+before any weight, sieve or transform is built.  A budget that is
 NaN, infinite, zero or negative, an integer below its _AT_LEAST bound (by
 flag, or by config key for ns and threads) and an --out-dir that mkdir would
 refuse exit 2 before any verb runs; --oversample below 2 and a repeated
@@ -90,8 +91,11 @@ def estimate_u3_seconds(N: int) -> float:
     return U3_SECONDS_PER_WORK * gowers._plan_work(gowers._u3_buckets(N))
 
 
-def check_budget(estimate: float, budget: float, what: str) -> None:
+def check_budget(items: list[tuple[str, float]], budget: float) -> None:
+    """Refuse a run whose U^3 items, (what, estimated seconds) pairs, sum past the budget."""
+    estimate = sum(seconds for _, seconds in items)
     if estimate > budget:
+        what = " + ".join(what for what, _ in items)
         raise BudgetExceeded(
             f"{what}: estimated {estimate:.3g}s exceeds budget {budget:.3g}s")
 
@@ -252,11 +256,11 @@ def cmd_sieve(args) -> tuple[dict, tuple | None]:
 
 
 def cmd_unorm(args) -> tuple[dict, tuple | None]:
+    check_budget([(f"U^3 at N={args.N}", estimate_u3_seconds(args.N))
+                  for s in args.s if s == 3], args.budget_seconds)
     w = parse_weight(args.weight, args.N, args.T, args.cache_dir)
     rows = []
     for s in args.s:
-        if s == 3:
-            check_budget(estimate_u3_seconds(args.N), args.budget_seconds, f"U^3 at N={args.N}")
         res = gowers.gowers_normalized(w, args.N, s, workers=args.threads)
         rows.append((s, args.N, res.raw, res.normalizer, res.normalized))
         print(f"unorm s={s} N={args.N} norm={res.normalized!r}")
@@ -398,8 +402,7 @@ def cmd_rtt(args) -> tuple[dict, tuple | None]:
 def cmd_decay(args) -> tuple[dict, tuple | None]:
     if len(set(args.qs)) < len(args.qs):  # one Q twice would fit a slope at one log2 Q
         raise ValueError(f"--qs must not repeat an entry, got {args.qs}")
-    rows = []
-    premise = {}
+    items = []  # (Q, mode, length, what, estimate), Q-major and interval first, as the rows
     for Q in args.qs:
         P = hb_model.hb_period(Q)
         if args.mode in ("interval", "both"):
@@ -408,17 +411,22 @@ def cmd_decay(args) -> tuple[dict, tuple | None]:
             M = max(args.M, P)
             what = f"interval U^3 at M={M} (Q={Q}"
             what += f", raised to cover the period P_Q={P})" if M > args.M else ")"
-            check_budget(estimate_u3_seconds(M), args.budget_seconds, what)
-            w = hb_model.lambda_Q(Q, M)
-            res = gowers.gowers_normalized(w, M, 3, workers=args.threads)
-            rows.append((Q, M, "interval", res.normalized))
-            premise[str(Q)] = M >= Q**20
+            items.append((Q, "interval", M, what, estimate_u3_seconds(M)))
         if args.mode in ("cyclic", "both"):
-            if P > gowers._CYCLIC_P_MAX:
-                raise ValueError(
-                    f"cyclic mode at Q={Q} needs P_Q <= {gowers._CYCLIC_P_MAX}, got {P}")
-            w = hb_model.lambda_Q(Q, P)
-            rows.append((Q, P, "cyclic", gowers.gowers_cyclic(w.values, 3)))
+            work = gowers._plan_work(gowers._cyclic_plan(P))
+            items.append((Q, "cyclic", P, f"cyclic U^3 at P_Q={P} (Q={Q})",
+                          U3_SECONDS_PER_WORK * work))
+    check_budget([item[3:] for item in items], args.budget_seconds)
+    rows = []
+    premise = {}
+    for Q, mode, M, _, _ in items:
+        w = hb_model.lambda_Q(Q, M)
+        if mode == "interval":
+            res = gowers.gowers_normalized(w, M, 3, workers=args.threads)
+            rows.append((Q, M, mode, res.normalized))
+            premise[str(Q)] = M >= Q**20
+        else:
+            rows.append((Q, M, mode, gowers.gowers_cyclic(w.values, 3)))
     stats = {"premise_m_ge_q20": premise} if premise else {}
     for mode in ("interval", "cyclic"):
         pts = [(log2(r[0]), np.log2(r[3])) for r in rows if r[2] == mode and r[3] > 0]
@@ -430,12 +438,12 @@ def cmd_decay(args) -> tuple[dict, tuple | None]:
 
 
 def cmd_approx(args) -> tuple[dict, tuple | None]:
+    if max(args.ns) > 10**7:  # a hand cap: the sieve is not priced
+        raise ValueError(f"approx needs N <= 10^7, got {max(args.ns)}")
+    check_budget([(f"U^3 at N={N}", estimate_u3_seconds(N))
+                  for N in args.ns if args.s == 3], args.budget_seconds)
     rows = []
     for N in args.ns:
-        if N > 10**7:
-            raise ValueError(f"approx needs N <= 10^7, got {N}")
-        if args.s == 3 and N > 1 << 15:
-            raise ValueError(f"approx U^3 needs N <= 2^15, got {N}")
         Q = hb_model.q_schedule(N)
         tables = _sieve_for(N, args.cache_dir)
         diff = tables.vonmangoldt[1 : N + 1] - hb_model.lambda_leq(Q, N).values
@@ -443,7 +451,6 @@ def cmd_approx(args) -> tuple[dict, tuple | None]:
         u2 = gowers.gowers_normalized(series, N, 2).normalized
         u3 = ""
         if args.s == 3:
-            check_budget(estimate_u3_seconds(N), args.budget_seconds, f"U^3 at N={N}")
             u3 = gowers.gowers_normalized(series, N, 3, workers=args.threads).normalized
         rows.append((N, Q, u2, u3))
         print(f"approx N={N} Q={Q} u2={u2!r}" + (f" u3={u3!r}" if u3 != "" else ""))
@@ -533,8 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Integer lower bounds, checked by main before any verb.  Kept in the verbs: --oversample (ww's
 # is refused by averages.ww_sup_grid after the orbit is built, as perfbench counts), approx's
-# N caps, --mask's range, decay's cyclic P_Q cap (it refuses before lambda_Q allocates) and
-# decay's refusal of a repeated --qs entry (expect's --qs are moduli, which may repeat).
+# N cap, --mask's range and decay's refusal of a repeated --qs entry (expect's --qs are
+# moduli, which may repeat).
 _AT_LEAST = {"N": 1, "ns": 1, "M": 1, "q": 1, "trials": 1, "threads": 1, "samples": 0,
              "seed": 0}
 

@@ -60,7 +60,7 @@ class VertexConfig:
     """Marked set and green set as 8-bit vertex masks."""
 
     marked: int
-    green: int = 0
+    green: int
 
     def __post_init__(self):
         if not 0 <= self.marked < 256 or not 0 <= self.green < 256:
@@ -275,7 +275,7 @@ def rad4_divides(qs: tuple[int, ...]) -> bool:
     return R % rad(R) ** 4 == 0
 
 
-def interval_box_count(M: int, s: int = 3) -> int:
+def interval_box_count(M: int, s: int) -> int:
     """Exact raw U^s functional of 1_{[M]}: the number of (x, h) with every
     cube vertex x + w.h inside [M].  Closed forms for s <= 3."""
     if s == 1:

@@ -28,7 +28,7 @@ counted twice when the rows are real):
       n >= 2(L - h) - 1 and the shifts are bucketed by n
       (:func:`_u3_buckets`); only rounding depends on n.
     * the cyclic U^2 and U^3 norms, the kernel at n = P on f and on the
-      cyclic Delta_h f, windows of the doubled period.
+      cyclic Delta_h f, windows of the doubled period (:func:`_cyclic_plan`).
 One driver, :func:`_run_rows`, runs every row kernel, here and in averages,
 over a plan of (lo, end, n) buckets, each cut by the one rule :func:`_batches`
 into batches of about _BATCH_POINTS / workers points, so the points in
@@ -71,7 +71,6 @@ _BATCH_POINTS = 1 << 18
 # ran 0.79-1.05x as fast as one at L = 1024 and 0.96-1.68x at L = 2048 (real
 # rows, interleaved medians over several rounds)
 _U3_THREADED_LEN = 2048
-_CYCLIC_P_MAX = 4096
 _CYCLIC_BRUTE_P_MAX = 32
 
 
@@ -223,6 +222,11 @@ def _u3_buckets(L: int) -> list[tuple[int, int, int]]:
             for prev, n in zip([0, *lengths], lengths)][::-1]
 
 
+def _cyclic_plan(P: int) -> list[tuple[int, int, int]]:
+    """The cyclic U^3 plan: every shift h in Z_P in one bucket of length-P rows."""
+    return [(0, P, P)]
+
+
 def _plan_work(plan: list[tuple[int, int, int]]) -> float:
     """FFT work of a plan: the sum of rows * n log2 n over its buckets (lo, end, n)."""
     return sum((end - lo) * n * log2(n) for lo, end, n in plan)
@@ -345,7 +349,7 @@ def gowers_cyclic(values: np.ndarray, s: int) -> float:
     E_{x,h_1..h_s in Z_P} of the 2^s-fold product, then the 2^s-th root; the
     constant function 1 comes out exactly 1.  s=2 is sum_k |fhat(k)|^4 with
     the expectation-normalized DFT; s=3 averages the s=2 value of the cyclic
-    Delta_h f over h in Z_P (O(P^2 log P), guarded at P = 4096), summed once.
+    Delta_h f over h in Z_P (O(P^2 log P), :func:`_cyclic_plan`), summed once.
     """
     _check_s(s)
     v = np.asarray(values)
@@ -353,15 +357,13 @@ def gowers_cyclic(values: np.ndarray, s: int) -> float:
     P = v.shape[0]
     if P < 1:
         raise ValueError("need at least one period value")
-    if P > _CYCLIC_P_MAX:
-        raise ValueError(f"cyclic norm guarded at P <= {_CYCLIC_P_MAX}, got {P}")
     if s == 1:
         return float(abs(v.mean()))
     # sum_j |fhat(j)|^4 with the expectation-normalized DFT is pow4 / P^3
     if s == 2:
         return float((_pow4_rows(v[None, :], P)[0] / P**3) ** 0.25)
     win = sliding_window_view(np.conj(np.concatenate([v, v])), P)  # row h: conj f(x + h)
-    per_h = _run_rows([(0, P, P)], lambda a, b, n: _pow4_rows(v[None, :] * win[a:b], n))
+    per_h = _run_rows(_cyclic_plan(P), lambda a, b, n: _pow4_rows(v[None, :] * win[a:b], n))
     return float((float(np.sum(per_h)) / P**4) ** (1.0 / 8.0))
 
 

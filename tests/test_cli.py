@@ -2,6 +2,8 @@
 manifest records, caching, and config files."""
 
 import argparse
+import dataclasses
+import errno
 import hashlib
 import importlib.util
 import json
@@ -452,15 +454,63 @@ def test_refusals_leave_no_output(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.rglob("manifest.jsonl"))
 
 
-def test_exit_two_decay_cyclic_guard(tmp_path, capsys):
-    # cyclic mode is capped at period 4096, a precondition rather than a budget
-    assert run(tmp_path, "decay", "--qs", "16", "--mode", "cyclic") == 2
-    assert "precondition" in capsys.readouterr().err
+def _refuse(*args, **kwargs):
+    raise AssertionError("work ran before the run was refused")
+
+
+def test_exit_three_decay_cyclic_budget(tmp_path, capsys, monkeypatch):
+    # the cyclic U^3 is priced from the kernel's own plan: at Q = 16 the
+    # period P_Q = 720720 is over the default budget, and the run is refused
+    # before lambda_Q builds that period
+    monkeypatch.setattr(hb_model, "lambda_Q", _refuse)
+    assert run(tmp_path, "decay", "--qs", "16", "--mode", "cyclic") == 3
+    estimate = U3_SECONDS_PER_WORK * gowers._plan_work(gowers._cyclic_plan(720720))
+    assert capsys.readouterr().err == (f"budget: cyclic U^3 at P_Q=720720 (Q=16): estimated "
+                                       f"{estimate:.3g}s exceeds budget 600s\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_decay_budget_bounds_the_run(tmp_path, capsys, monkeypatch):
+    # one gate per run prices the summed estimate of every U^3 item before any
+    # weight or transform: a sweep is refused whole when one item is over the
+    # budget, and when every item fits but their sum does not
+    monkeypatch.setattr(hb_model, "lambda_Q", _refuse)
+    monkeypatch.setattr(gowers, "_run_rows", _refuse)
+    for argv, Ms, what in (
+            ("--qs 2 4 16 --M 8192", (8192, 8192, 720720),
+             "interval U^3 at M=8192 (Q=2) + interval U^3 at M=8192 (Q=4) + interval U^3 at "
+             "M=720720 (Q=16, raised to cover the period P_Q=720720)"),
+            ("--qs 2 4 8 --M 32768 --budget-seconds 20", (32768,) * 3,
+             "interval U^3 at M=32768 (Q=2) + interval U^3 at M=32768 (Q=4) + interval U^3 at "
+             "M=32768 (Q=8)")):
+        assert run(tmp_path, "decay", "--mode", "interval", *argv.split()) == 3, argv
+        estimate = sum(cli.estimate_u3_seconds(M) for M in Ms)
+        assert capsys.readouterr().err.startswith(
+            f"budget: {what}: estimated {estimate:.3g}s"), argv
+    assert cli.estimate_u3_seconds(32768) < 20  # each item alone fits the budget
+    assert not list(tmp_path.iterdir())
+
+
+def test_refusals_build_no_sieve(tmp_path, capsys, monkeypatch):
+    # approx checks every N against its 10^7 cap and prices every U^3 item
+    # before the first sieve, and unorm prices its U^3 before the weight
+    monkeypatch.setattr(cli, "_sieve_memo", {})
+    monkeypatch.setattr(arith, "build_sieve", _refuse)
+    for argv, code, message in (
+            ("approx --ns 1000 20000000", 2, "precondition: approx needs N <= 10^7"),
+            ("approx --ns 1000 65536 --s 3 --budget-seconds 1", 3,
+             "budget: U^3 at N=1000 + U^3 at N=65536: estimated"),
+            ("unorm --weight vonmangoldt --N 65536 --budget-seconds 1", 3,
+             "budget: U^3 at N=65536: estimated")):
+        assert run(tmp_path, *argv.split()) == code, argv
+        assert capsys.readouterr().err.startswith(message), argv
+    assert not list(tmp_path.iterdir())
 
 
 def test_exit_two_approx_guard(tmp_path, capsys):
     assert run(tmp_path, "approx", "--ns", "20000000") == 2
-    assert run(tmp_path, "approx", "--ns", "65536", "--s", "3") == 2
+    # no hand cap at 2^15: N = 2^16 is priced by the budget gate
+    assert run(tmp_path, "approx", "--ns", "65536", "--s", "3", "--budget-seconds", "1") == 3
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +734,26 @@ def test_exit_two_truncated_sieve_cache(tmp_path, capsys):
     assert run(tmp_path, "sieve", "--N", "1000", "--cache-dir", str(tmp_path)) == 2
     assert "truncated header, 6 bytes" in capsys.readouterr().err
     assert not (tmp_path / "manifest.jsonl").exists()
+
+
+def test_interrupted_sieve_save_leaves_no_file(tmp_path, monkeypatch):
+    # a save that fails after three of its four rows leaves neither a
+    # truncated file at the target nor its temporary, so the next run that
+    # reads the cache builds and saves the tables afresh
+    class Full:
+        def astype(self, dtype):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    tables = arith.build_sieve(1000)
+    path = tmp_path / "cache" / "sieve_1000.hbg"
+    path.parent.mkdir()
+    with pytest.raises(OSError):
+        arith.save_sieve(dataclasses.replace(tables, spf=Full()), path)
+    assert not list(path.parent.iterdir())
+    monkeypatch.setattr(cli, "_sieve_memo", {})
+    assert run(tmp_path, "sieve", "--N", "1000", "--cache-dir", str(path.parent)) == 0
+    assert [p.name for p in path.parent.iterdir()] == ["sieve_1000.hbg"]
+    assert (arith.load_sieve(path).spf == tables.spf).all()
 
 
 def test_no_cache_without_flag(tmp_path):
