@@ -4,7 +4,11 @@
 Produces CSV outputs plus an append-only manifest.jsonl, then prints a
 digest of what was run.  One step intentionally requests infeasible work
 (the Q = 16 block weight in interval mode) to demonstrate the cost-model
-rejection path; its expected exit code is 3.
+rejection path; its expected exit code is 3.  The sweep then checks the
+manifest records it appended: every CSV they name must hash on disk to the
+sha256 its record holds, and no two records may name one path.  The script
+exits 1, naming the step, when a step exits other than expected or fails
+either check.
 
 Usage:
     python3 scripts/run_experiments.py [--out-dir results] [--full]
@@ -16,6 +20,7 @@ and --full 28 s, 27 s of it the decay step.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -73,6 +78,28 @@ def steps(out: Path, full: bool) -> list[tuple[str, list[str], int]]:
     ]
 
 
+def read_manifest(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()] if path.exists() else []
+
+
+def check_outputs(written: list[tuple[str, dict]]) -> int:
+    """Print and count each (step, manifest output) whose CSV is not on disk with the
+    output's sha256, or whose path an earlier step also named."""
+    failures, named_by = 0, {}
+    for step, output in written:
+        path = Path(output["path"])
+        problems = []
+        if path in named_by:
+            problems.append(f"is also the CSV of '{named_by[path]}'")
+        named_by.setdefault(path, step)
+        if not path.is_file() or hashlib.sha256(path.read_bytes()).hexdigest() != output["sha256"]:
+            problems.append("does not hash to its manifest sha256")
+        for problem in problems:
+            print(f"UNEXPECTED {path.name} of '{step}' {problem}")
+        failures += bool(problems)
+    return failures
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="results")
@@ -80,27 +107,31 @@ def main() -> int:
     args = ap.parse_args()
 
     out = Path(args.out_dir)
+    manifest = out / "manifest.jsonl"
     sweep = steps(out, args.full)
     failures = 0
+    appended = []  # (step, record) for each manifest record this sweep appended
     t_start = time.perf_counter()
     for desc, argv, expected in sweep:
+        first = len(read_manifest(manifest))
         t0 = time.perf_counter()
         code = cli.main([*argv, "--out-dir", str(out)])
         status = "ok" if code == expected else f"UNEXPECTED exit {code} (wanted {expected})"
         if code != expected:
             failures += 1
         print(f"[{time.perf_counter() - t0:6.1f}s] {status:>12}  {desc}")
+        appended += [(desc, rec) for rec in read_manifest(manifest)[first:]]
 
-    manifest = out / "manifest.jsonl"
-    if manifest.exists():
-        print(f"\nmanifest entries in {manifest}:")
-        for line in manifest.read_text().splitlines():
-            rec = json.loads(line)
-            outputs = ", ".join(Path(o["path"]).name for o in rec["outputs"])
-            print(f"  {rec['command']:<7} {rec['duration_s']:8.2f}s  {outputs}")
+    print(f"\nmanifest entries this sweep appended to {manifest}:")
+    for _, rec in appended:
+        outputs = ", ".join(Path(o["path"]).name for o in rec["outputs"])
+        print(f"  {rec['command']:<7} {rec['duration_s']:8.2f}s  {outputs}")
+    written = [(desc, output) for desc, rec in appended for output in rec["outputs"]]
+    bad_outputs = check_outputs(written)
     print(f"\ntotal {time.perf_counter() - t_start:.1f}s, "
-          f"{len(sweep) - failures}/{len(sweep)} steps as expected")
-    return 1 if failures else 0
+          f"{len(sweep) - failures}/{len(sweep)} steps as expected, "
+          f"{len(written) - bad_outputs}/{len(written)} CSVs whole and named once")
+    return 1 if failures or bad_outputs else 0
 
 
 if __name__ == "__main__":

@@ -121,25 +121,30 @@ def build_sieve(limit: int) -> SieveTables:
     return SieveTables(limit=n, mobius=mu, totient=phi, vonmangoldt=vm, spf=spf)
 
 
-def save_sieve(tables: SieveTables, path: str | Path) -> None:
-    """Write tables in the binary cache format.
-
-    Layout: magic ``HBG1``, unsigned 64-bit little-endian limit, then one
-    row of limit + 1 entries per field of ``_LAYOUT``, in its order and in
-    its disk dtype.  The bytes go to a temporary file of this process and thread
-    beside ``path`` that replaces it once whole, so a failed save leaves none.
-    """
+def _write_whole(path: str | Path, chunks) -> None:
+    """Write the bytes-like ``chunks`` to a ``.tmp`` file of this process and thread
+    beside ``path`` that replaces it once whole, so a failed write leaves neither;
+    ``writelines`` drops each chunk before it draws the next, so a generator holds one."""
     tmp = Path(f"{path}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(struct.pack("<Q", tables.limit))
-            for name, disk, _ in _LAYOUT:
-                fh.write(getattr(tables, name).astype(disk).tobytes())
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_sieve(tables: SieveTables, path: str | Path) -> None:
+    """Write tables whole (:func:`_write_whole`) in the binary cache format: magic
+    ``HBG1``, unsigned 64-bit little-endian limit, then one row of limit + 1
+    entries per field of ``_LAYOUT``, in its order and in its disk dtype."""
+    def chunks():
+        yield _CACHE_MAGIC + struct.pack("<Q", tables.limit)
+        for name, disk, _ in _LAYOUT:
+            yield getattr(tables, name).astype(disk)
+
+    _write_whole(path, chunks())
 
 
 def load_sieve(path: str | Path) -> SieveTables:

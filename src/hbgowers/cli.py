@@ -9,7 +9,7 @@ A kind's keys are its builder's parameters, so a key the builder does not
 take, a key it needs that is missing, a key given twice or an item with no
 ``=`` exits 2.  A value is read as its parameter's annotated type (int or
 float, else text), and CSV names and weight cells write it as read, so
-``hb:Q=04`` and ``hb:Q=4`` name one file.
+``hb:Q=04`` and ``hb:Q=4`` give one name and one CSV.
 
 Grammar for --weight:
     vonmangoldt            sieved Lambda up to N (uses --cache-dir if given)
@@ -24,10 +24,13 @@ System grammar for --system / --system2:
     doubling:x=sqrt2       (also sqrt3, sqrt5, golden, p/q, or a finite float)
     signs:seed=7
 
-Verbs compute and main records: main alone writes the one CSV a verb returns
-(shortest-roundtrip float repr, so reruns are byte-identical) and appends its
-record (timestamps, parameters, stats, CSV digest) to ``manifest.jsonl``, in
---out-dir, made only after the verb returns.
+Verbs compute and main records: main alone names the one CSV a verb returns,
+writes it whole (arith._write_whole, as the sieve cache) in shortest-roundtrip
+float repr, so reruns are byte-identical, and appends its record (timestamps,
+parameters, stats, CSV digest) to ``manifest.jsonl``, in --out-dir, made only
+after the verb returns.  The name is ``<verb>_<digest>.csv``: 12 hex digits of
+the sha256 of every parsed input that can move a byte (see _csv_name), each
+spec as the CSV writes it, so two runs share a name only if they share bytes.
 
 The U^3 cost model is gowers._plan_work (rows * n log2 n per bucket) of the
 kernel's own plan (gowers._u3_buckets, or gowers._cyclic_plan for a cyclic
@@ -138,10 +141,8 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    lines = (",".join(_fmt(x) for x in row) + "\n" for row in [header, *rows])
+    arith._write_whole(path, (line.encode() for line in lines))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +242,7 @@ def parse_system(spec: str) -> averages.SystemDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# verbs: each returns its stats and (CSV file name, header, rows), or None
+# verbs: each returns its stats and (CSV header, rows), or None; main names the CSV
 
 
 def cmd_sieve(args) -> tuple[dict, tuple | None]:
@@ -264,10 +265,8 @@ def cmd_unorm(args) -> tuple[dict, tuple | None]:
         res = gowers.gowers_normalized(w, args.N, s, workers=args.threads)
         rows.append((s, args.N, res.raw, res.normalizer, res.normalized))
         print(f"unorm s={s} N={args.N} norm={res.normalized!r}")
-    weight = _spec_text(args.weight, _weight_kinds(args.N, args.T, args.cache_dir))
-    name = f"unorm_{weight.replace(':', '_').replace(',', '_')}_{args.N}.csv"
     header = ["s", "N", "raw", "normalizer", "normalized"]
-    return {"norms": {str(r[0]): r[4] for r in rows}}, (name, header, rows)
+    return {"norms": {str(r[0]): r[4] for r in rows}}, (header, rows)
 
 
 def cmd_ap(args) -> tuple[dict, tuple | None]:
@@ -288,7 +287,7 @@ def cmd_ap(args) -> tuple[dict, tuple | None]:
         rows.append((args.q, a, s, main, err, rel))
     print(f"ap q={args.q} N={args.N} worst_rel_error={worst!r}")
     header = ["q", "a", "sum", "main_term", "error", "rel_error"]
-    return {"worst_rel_error": worst}, (f"ap_q{args.q}_N{args.N}.csv", header, rows)
+    return {"worst_rel_error": worst}, (header, rows)
 
 
 def cmd_cube(args) -> tuple[dict, tuple | None]:
@@ -299,10 +298,9 @@ def cmd_cube(args) -> tuple[dict, tuple | None]:
     for mask in masks:
         rows.append((mask, bin(mask).count("1"), int(cube.admissible(mask)),
                      cube.minimal_seed(mask)))
-    name = "cube_masks.csv" if len(masks) > 1 else f"cube_mask_{masks[0]}.csv"
     n_adm = sum(r[2] for r in rows)
     print(f"cube masks={len(masks)} admissible={n_adm}")
-    return {"admissible": n_adm}, (name, ["mask", "size", "admissible", "min_seed"], rows)
+    return {"admissible": n_adm}, (["mask", "size", "admissible", "min_seed"], rows)
 
 
 def cmd_expect(args) -> tuple[dict, tuple | None]:
@@ -326,7 +324,7 @@ def cmd_expect(args) -> tuple[dict, tuple | None]:
     header = [f"q{i}" for i in range(1, 9)] + ["R", "rad4_divides", "expectation", "bound"]
     n_zero = sum(1 for r in rows if r[10] == 0)
     print(f"expect tuples={len(tuples)} zero_expectation={n_zero}")
-    return {"tuples": len(tuples), "zero": n_zero}, (f"expect_{len(tuples)}.csv", header, rows)
+    return {"tuples": len(tuples), "zero": n_zero}, (header, rows)
 
 
 def cmd_ineq(args) -> tuple[dict, tuple | None]:
@@ -364,8 +362,7 @@ def cmd_ineq(args) -> tuple[dict, tuple | None]:
     print(f"ineq name={args.name} trials={args.trials} violations={violations} "
           f"max_ratio={max_ratio!r}")
     header = ["name", "N", "trial", "lhs", "rhs", "ratio"]
-    return ({"violations": violations, "max_ratio": max_ratio},
-            (f"ineq_{args.name}_N{args.N}.csv", header, rows))
+    return {"violations": violations, "max_ratio": max_ratio}, (header, rows)
 
 
 def cmd_ww(args) -> tuple[dict, tuple | None]:
@@ -380,7 +377,7 @@ def cmd_ww(args) -> tuple[dict, tuple | None]:
                      system.label(), weight))
         print(f"ww N={N} sup={res.sup_modulus!r} at theta={res.theta_star!r}")
     header = ["N", "theta_star", "sup_modulus", "grid_error", "system", "weight"]
-    return {"sup": rows[-1][2]}, (f"ww_{system.kind}.csv", header, rows)
+    return {"sup": rows[-1][2]}, (header, rows)
 
 
 def cmd_rtt(args) -> tuple[dict, tuple | None]:
@@ -396,7 +393,7 @@ def cmd_rtt(args) -> tuple[dict, tuple | None]:
         rows.append((N, abs(val), sys_f.label(), sys_g.label(), weight))
         print(f"rtt N={N} modulus={abs(val)!r}")
     header = ["N", "modulus", "system_f", "system_g", "weight"]
-    return {"modulus": rows[-1][1]}, (f"rtt_{sys_f.kind}_{sys_g.kind}.csv", header, rows)
+    return {"modulus": rows[-1][1]}, (header, rows)
 
 
 def cmd_decay(args) -> tuple[dict, tuple | None]:
@@ -434,7 +431,7 @@ def cmd_decay(args) -> tuple[dict, tuple | None]:
             slope = float(np.polyfit([p[0] for p in pts], [p[1] for p in pts], 1)[0])
             stats[f"slope_{mode}"] = slope
             print(f"decay mode={mode} fitted_log2_slope={slope:.4f}")
-    return stats, (f"decay_{args.mode}.csv", ["Q", "M", "mode", "norm"], rows)
+    return stats, (["Q", "M", "mode", "norm"], rows)
 
 
 def cmd_approx(args) -> tuple[dict, tuple | None]:
@@ -457,7 +454,7 @@ def cmd_approx(args) -> tuple[dict, tuple | None]:
     u2_seq = [r[2] for r in rows]
     monotone = all(a >= b for a, b in zip(u2_seq, u2_seq[1:]))
     print(f"approx u2_monotone_nonincreasing={monotone}")
-    return {"u2": u2_seq, "u2_monotone": monotone}, ("approx.csv", ["N", "Q", "u2", "u3"], rows)
+    return {"u2": u2_seq, "u2_monotone": monotone}, (["N", "Q", "u2", "u3"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +548,20 @@ _COMMANDS = {
     "decay": cmd_decay, "approx": cmd_approx,
 }
 
+# the parsed inputs that cannot change a CSV's bytes, so its name leaves them out
+_UNNAMED = {"verb", "config", "out_dir", "threads", "cache_dir", "budget_seconds", "exhaustive"}
+
+
+def _csv_name(args) -> str:
+    """``<verb>_<digest>.csv``: sha256[:12] of the other inputs' sorted JSON, specs as written."""
+    inputs = {key: value for key, value in vars(args).items() if key not in _UNNAMED}
+    if "weight" in inputs:
+        inputs["weight"] = _spec_text(args.weight, _weight_kinds(args.N, args.T, args.cache_dir))
+    for key in {"system", "system2"} & inputs.keys():
+        inputs[key] = parse_system(inputs[key]).label()
+    digest = hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
+    return f"{args.verb}_{digest[:12]}.csv"
+
 
 def main(argv: list[str] | None = None) -> int:
     from hbgowers import __version__  # the package imports this module first
@@ -581,9 +592,8 @@ def main(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = []
         if table is not None:
-            name, header, rows = table
-            path = out_dir / name
-            write_csv(path, header, rows)
+            path = out_dir / _csv_name(args)
+            write_csv(path, *table)
             data = path.read_bytes()
             stats["csv"] = str(path)
             outputs.append({"path": str(path), "sha256": hashlib.sha256(data).hexdigest(),

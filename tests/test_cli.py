@@ -8,6 +8,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -29,6 +30,12 @@ def run(tmp_path, *argv):
 def manifest_lines(tmp_path):
     path = tmp_path / "manifest.jsonl"
     return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def csv_path(out_dir):
+    """The CSV that the last manifest record in out_dir names."""
+    [output] = manifest_lines(out_dir)[-1]["outputs"]
+    return Path(output["path"])
 
 
 def fresh_env():
@@ -152,38 +159,41 @@ def test_empty_spec_body_reads_as_kind(tmp_path, argv):
     assert bare.read_bytes() == colon.read_bytes()
 
 
-@pytest.mark.parametrize("argv, spellings, csv, text", [
-    ("unorm --N 64 --s 2", ["vonmangoldt", "vonmangoldt:", "vonmangoldt:,"],
-     "unorm_vonmangoldt_64.csv", None),
-    ("unorm --N 64 --s 2", ["hbsum:T=4", "hbsum:T= 4", "hbsum: T = 4 ,"],
-     "unorm_hbsum_T=4_64.csv", None),
-    ("unorm --N 64 --s 2", ["twist:q=3,sigma=0.9", "twist:sigma=0.9,q=3", "twist:,q=3, sigma=0.9"],
-     "unorm_twist_q=3_sigma=0.9_64.csv", None),
-    ("ww --N 64", ["hbsum:T=4", "hbsum:T= 4", "hbsum:T=4,"], "ww_rotation.csv", "hbsum:T=4"),
-    ("rtt --N 64", ["twist:q=3,sigma=0.9", "twist:sigma=0.9,q=3"],
-     "rtt_rotation_rotation.csv", "twist:q=3,sigma=0.9"),
-    ("unorm --N 64 --s 2", ["hb:Q=4", "hb:Q=04"], "unorm_hb_Q=4_64.csv", None),
-    ("unorm --N 64 --s 2", ["hbsum:T=4", "hbsum:T=+4"], "unorm_hbsum_T=4_64.csv", None),
-    ("unorm --N 64 --s 2", ["twist:q=3,sigma=0.9", "twist:q=3,sigma=0.90"],
-     "unorm_twist_q=3_sigma=0.9_64.csv", None),
-    ("ww --N 64", ["twist:q=3,sigma=0.9", "twist:q=03,sigma=0.90"], "ww_rotation.csv",
+@pytest.mark.parametrize("argv, spellings, text", [
+    ("unorm --N 64 --s 2 --weight", ["vonmangoldt", "vonmangoldt:", "vonmangoldt:,"], None),
+    ("unorm --N 64 --s 2 --weight", ["hbsum:T=4", "hbsum:T= 4", "hbsum: T = 4 ,"], None),
+    ("unorm --N 64 --s 2 --weight",
+     ["twist:q=3,sigma=0.9", "twist:sigma=0.9,q=3", "twist:,q=3, sigma=0.9"], None),
+    ("ww --N 64 --weight", ["hbsum:T=4", "hbsum:T= 4", "hbsum:T=4,"], "hbsum:T=4"),
+    ("rtt --N 64 --weight", ["twist:q=3,sigma=0.9", "twist:sigma=0.9,q=3"],
      "twist:q=3,sigma=0.9"),
+    ("unorm --N 64 --s 2 --weight", ["hb:Q=4", "hb:Q=04"], None),
+    ("unorm --N 64 --s 2 --weight", ["hbsum:T=4", "hbsum:T=+4"], None),
+    ("unorm --N 64 --s 2 --weight", ["twist:q=3,sigma=0.9", "twist:q=3,sigma=0.90"], None),
+    ("ww --N 64 --weight", ["twist:q=3,sigma=0.9", "twist:q=03,sigma=0.90"],
+     "twist:q=3,sigma=0.9"),
+    ("ww --N 64 --system", ["rotation:alpha=sqrt2", "rotation: x=0, alpha=sqrt2 ,"], None),
+    ("rtt --N 64 --system2", ["signs:seed=7", "signs:seed=07"], None),
 ], ids=["vonmangoldt", "hbsum", "twist", "ww", "rtt", "int-leading-zero", "int-plus-sign",
-        "float-trailing-zero", "ww-parsed-values"])
-def test_one_weight_one_name(tmp_path, argv, spellings, csv, text):
-    # every spelling _read_spec reads as the same weight names the same CSV and
-    # writes the same bytes; ww and rtt write the spec as it is read, the kind and
-    # then its key=value items stripped, in the builder's parameter order, each
-    # value as parsed (str of an int key, repr of a float key)
-    outs = []
+        "float-trailing-zero", "ww-parsed-values", "system", "system2"])
+def test_one_weight_one_name(tmp_path, argv, spellings, text):
+    # every spelling _read_spec reads as the same spec names the same CSV,
+    # <verb>_<12 hex digits>.csv, and writes the same bytes; ww and rtt write the
+    # weight as it is read, the kind and then its key=value items stripped, in the
+    # builder's parameter order, each value as parsed (str of an int key, repr of
+    # a float key)
+    names, outs = set(), set()
     for i, spec in enumerate(spellings):
         out = tmp_path / str(i)
-        assert run(out, *argv.split(), "--weight", spec) == 0, spec
-        assert [p.name for p in out.glob("*.csv")] == [csv], spec
-        outs.append((out / csv).read_bytes())
-    assert len(set(outs)) == 1
+        assert run(out, *argv.split(), spec) == 0, spec
+        [csv] = out.glob("*.csv")
+        assert csv == csv_path(out), spec
+        names.add(csv.name)
+        outs.add(csv.read_bytes())
+    [name], [data] = names, outs
+    assert re.fullmatch(rf"{argv.split()[0]}_[0-9a-f]{{12}}\.csv", name)
     if text is not None:
-        assert all(line.endswith(f",{text}") for line in outs[0].decode().splitlines()[1:])
+        assert all(line.endswith(f",{text}") for line in data.decode().splitlines()[1:])
 
 
 @pytest.mark.parametrize("q", ["0", "-3"])
@@ -250,7 +260,7 @@ def test_exit_two_bad_oversample(tmp_path, capsys):
 def test_exit_two_bad_trials(tmp_path, capsys, trials):
     assert run(tmp_path, "ineq", "--name", "u2", "--N", "32", "--trials", trials) == 2
     assert "precondition: --trials must be >= 1" in capsys.readouterr().err
-    assert not (tmp_path / "ineq_u2_N32.csv").exists()
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_exit_three_decay_budget(tmp_path, capsys):
@@ -262,7 +272,7 @@ def test_exit_three_decay_budget(tmp_path, capsys):
         assert code == 3
         err = capsys.readouterr().err
         assert "budget" in err and P in err
-        assert not (tmp_path / "decay_interval.csv").exists()
+        assert not list(tmp_path.glob("*.csv"))
 
 
 def test_u3_work_sums_the_chunks():
@@ -384,7 +394,7 @@ def test_exit_two_bad_T(tmp_path, capsys, monkeypatch):
     # refused before any weight is built (the builders are gone: TypeError)
     argv = "ap --weight twist:q=3,sigma=0.9 --T 64 --N 3000 --q 6"
     assert run(tmp_path, *argv.split()) == 0
-    (tmp_path / "ap_q6_N3000.csv").unlink()
+    csv_path(tmp_path).unlink()
     (tmp_path / "manifest.jsonl").unlink()
     monkeypatch.setattr(cli, "_sieve_for", None)
     for name in ("lambda_Q", "lambda_leq", "twist"):
@@ -519,8 +529,7 @@ def test_exit_two_approx_guard(tmp_path, capsys):
 
 def test_unorm_csv_schema(tmp_path):
     assert run(tmp_path, "unorm", "--weight", "hb:Q=4", "--N", "512") == 0
-    csv = tmp_path / "unorm_hb_Q=4_512.csv"
-    lines = csv.read_text().splitlines()
+    lines = csv_path(tmp_path).read_text().splitlines()
     assert lines[0] == "s,N,raw,normalizer,normalized"
     assert len(lines) == 3  # s = 2 and s = 3
     s, N, raw, normalizer, normalized = lines[1].split(",")
@@ -533,11 +542,68 @@ def test_byte_identical_rerun(tmp_path):
     for d in (a, b):
         assert cli.main(["unorm", "--weight", "hb:Q=4", "--N", "512",
                          "--out-dir", str(d)]) == 0
-    fa, fb = a / "unorm_hb_Q=4_512.csv", b / "unorm_hb_Q=4_512.csv"
-    assert fa.read_bytes() == fb.read_bytes()
+    fa, fb = csv_path(a), csv_path(b)
+    assert fa.name == fb.name and fa.read_bytes() == fb.read_bytes()
     sha_a = manifest_lines(a)[-1]["outputs"][0]["sha256"]
     sha_b = manifest_lines(b)[-1]["outputs"][0]["sha256"]
     assert sha_a == sha_b
+
+
+@pytest.mark.parametrize("argv, one, other", [
+    ("unorm --N 64 --weight hb:Q=4", "--s 2", "--s 2 3"),
+    ("ap --N 1000", "--weight hb:Q=4", "--weight vonmangoldt"),
+    ("cube", "--mask 255", "--mask 170"),
+    ("expect", "--qs 1,1,1,1,1,1,1,1", "--qs 2,2,2,2,2,2,2,2"),
+    ("ineq --N 16 --trials 1", "--weight hb:Q=4", "--weight hbsum:T=8"),
+    ("ww --N 64", "--system rotation:alpha=sqrt2", "--system rotation:alpha=sqrt3"),
+    ("rtt --weight hb:Q=2", "--N 64", "--N 128"),
+    ("decay --mode cyclic", "--qs 2", "--qs 2 4"),
+    ("approx --s 2", "--ns 1000", "--ns 2000"),
+], ids=["unorm", "ap", "cube", "expect", "ineq", "ww", "rtt", "decay", "approx"])
+def test_csv_named_by_its_inputs(tmp_path, argv, one, other):
+    # two runs into one out-dir that differ in one input that moves bytes write
+    # two CSVs, each as its manifest record hashed it
+    both = tmp_path / "both"
+    for extra in (one, other):
+        assert run(both, *argv.split(), *extra.split()) == 0, extra
+    outputs = [out for rec in manifest_lines(both) for out in rec["outputs"]]
+    assert len({out["path"] for out in outputs}) == len(list(both.glob("*.csv"))) == 2
+    for out in outputs:
+        assert hashlib.sha256(Path(out["path"]).read_bytes()).hexdigest() == out["sha256"]
+    # a rerun of the same argv, and a run that differs from it only in an input
+    # that moves no byte, writes the same name with the same bytes
+    first = Path(outputs[0]["path"])
+    neutral = {"--threads": ["1"], "--cache-dir": [str(tmp_path / "cache")],
+               "--budget-seconds": ["1e6"], "--exhaustive": []}
+    flags = VERB_FLAGS[argv.split()[0]].split()
+    for i, extra in enumerate([[]] + [[flag, *value] for flag, value in neutral.items()
+                                      if flag in flags]):
+        out = tmp_path / f"run{i}"
+        assert run(out, *argv.split(), *one.split(), *extra) == 0, extra
+        assert (csv_path(out).name, csv_path(out).read_bytes()) == (first.name,
+                                                                    first.read_bytes())
+
+
+@pytest.mark.parametrize("where", ["rename", "second row"])
+def test_failed_csv_write_leaves_no_output(tmp_path, capsys, monkeypatch, where):
+    # a CSV write that fails, at the rename or after the first row, exits 2 and
+    # leaves no CSV, no temporary file and no manifest line
+    def full(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    if where == "rename":
+        monkeypatch.setattr(os, "replace", full)
+    else:
+        verb = cli._COMMANDS["cube"]
+
+        def cube(args):  # the second row's first cell fails as it is written
+            stats, (header, rows) = verb(args)
+            return stats, (header, [rows[0], (type("Cell", (), {"__str__": full})(),)])
+
+        monkeypatch.setitem(cli._COMMANDS, "cube", cube)
+    assert run(tmp_path, "cube") == 2
+    assert capsys.readouterr().err.startswith("precondition: [Errno 28]")
+    assert not list(tmp_path.iterdir())
 
 
 def test_manifest_append_and_digest(tmp_path):
@@ -581,14 +647,14 @@ def test_one_manifest_record_per_run(tmp_path, argv):
 
 def test_cube_single_mask_row(tmp_path):
     assert run(tmp_path, "cube", "--mask", "255") == 0
-    lines = (tmp_path / "cube_mask_255.csv").read_text().splitlines()
+    lines = csv_path(tmp_path).read_text().splitlines()
     assert lines[0] == "mask,size,admissible,min_seed"
     assert lines[1] == "255,8,1,4"
 
 
 def test_cube_exhaustive_table(tmp_path):
     assert run(tmp_path, "cube", "--exhaustive") == 0
-    lines = (tmp_path / "cube_masks.csv").read_text().splitlines()
+    lines = csv_path(tmp_path).read_text().splitlines()
     assert len(lines) == 257
     n_adm = sum(int(line.split(",")[2]) for line in lines[1:])
     assert n_adm == sum(cube.admissible(m) for m in range(256))
@@ -601,7 +667,7 @@ def test_expect_qs_validation(tmp_path, capsys):
     assert run(tmp_path, "expect", "--qs", "1,2,3,1,2,3,1") == 2
     assert "8 comma-separated" in capsys.readouterr().err
     assert run(tmp_path, "expect", "--qs", "1,1,1,1,1,1,1,1") == 0
-    lines = (tmp_path / "expect_1.csv").read_text().splitlines()
+    lines = csv_path(tmp_path).read_text().splitlines()
     assert lines[0].startswith("q1,q2,") and lines[0].endswith(
         "R,rad4_divides,expectation,bound")
     cells = lines[1].split(",")
@@ -612,7 +678,7 @@ def test_expect_qs_validation(tmp_path, capsys):
 def test_expect_samples(tmp_path):
     assert run(tmp_path, "expect", "--qs", "2,2,2,2,2,2,2,2",
                "--samples", "5", "--seed", "3") == 0
-    lines = (tmp_path / "expect_6.csv").read_text().splitlines()
+    lines = csv_path(tmp_path).read_text().splitlines()
     assert len(lines) == 7
 
 
@@ -621,7 +687,7 @@ def test_ineq_verb(tmp_path):
                "--trials", "3", "--weight", "hb:Q=4") == 0
     rec = manifest_lines(tmp_path)[-1]
     assert rec["stats"]["violations"] == 0
-    lines = (tmp_path / "ineq_u2_N32.csv").read_text().splitlines()
+    lines = csv_path(tmp_path).read_text().splitlines()
     assert lines[0] == "name,N,trial,lhs,rhs,ratio"
     assert len(lines) == 4
 
@@ -638,7 +704,7 @@ def test_ineq_zero_weight_ratio(tmp_path):
     line = (tmp_path / "manifest.jsonl").read_text().splitlines()[-1]
     stats = json.loads(line, parse_constant=refuse)["stats"]
     assert (stats["violations"], stats["max_ratio"]) == (0, 0.0)
-    rows = (tmp_path / "ineq_all_N64.csv").read_text().splitlines()[1:]
+    rows = csv_path(tmp_path).read_text().splitlines()[1:]
     assert [row.rsplit(",", 1)[1] for row in rows] == ["0.0"] * 5
     assert averages.IneqResult(1e-300, 0.0).ratio == np.inf  # lhs > 0 = rhs
 
@@ -662,7 +728,7 @@ def test_ineq_rows_independent_of_names(tmp_path):
     def u3mod_rows(name):
         out = tmp_path / name
         assert run(out, "ineq", "--name", name, "--N", "32", "--trials", "2") == 0
-        lines = (out / f"ineq_{name}_N32.csv").read_bytes().splitlines()
+        lines = csv_path(out).read_bytes().splitlines()
         return [line for line in lines if line.startswith(b"u3mod,")]
 
     rows = u3mod_rows("u3mod")
@@ -675,7 +741,7 @@ def test_ap_verb(tmp_path):
                "--q", "4") == 0
     rec = manifest_lines(tmp_path)[-1]
     assert rec["stats"]["worst_rel_error"] < 0.05
-    lines = (tmp_path / "ap_q4_N10000.csv").read_text().splitlines()
+    lines = csv_path(tmp_path).read_text().splitlines()
     assert lines[0] == "q,a,sum,main_term,error,rel_error"
     assert len(lines) == 5
 
@@ -683,7 +749,7 @@ def test_ap_verb(tmp_path):
 def test_ww_and_rtt_verbs(tmp_path):
     assert run(tmp_path, "ww", "--system", "signs:seed=7", "--N", "256",
                "--weight", "hb:Q=2") == 0
-    assert (tmp_path / "ww_signs.csv").exists()
+    assert csv_path(tmp_path).exists()
     assert run(tmp_path, "rtt", "--N", "512", "--weight", "vonmangoldt",
                "--system", "rotation:alpha=sqrt2",
                "--system2", "rotation:alpha=-0.41421356237309515") == 0
@@ -697,7 +763,7 @@ def test_decay_premise_stamp(tmp_path):
                "--mode", "interval") == 0
     rec = manifest_lines(tmp_path)[-1]
     assert rec["stats"]["premise_m_ge_q20"] == {"2": False}
-    lines = (tmp_path / "decay_interval.csv").read_text().splitlines()
+    lines = csv_path(tmp_path).read_text().splitlines()
     assert lines[0] == "Q,M,mode,norm"
     assert lines[1].startswith("2,1024,interval,")
 
@@ -706,7 +772,7 @@ def test_approx_verb(tmp_path):
     assert run(tmp_path, "approx", "--ns", "1000", "2000", "--s", "2") == 0
     rec = manifest_lines(tmp_path)[-1]
     assert len(rec["stats"]["u2"]) == 2
-    lines = (tmp_path / "approx.csv").read_text().splitlines()
+    lines = csv_path(tmp_path).read_text().splitlines()
     assert lines[0] == "N,Q,u2,u3"
 
 
@@ -767,7 +833,7 @@ def test_config_file(tmp_path):
     ini.write_text("[sweep]\nns = 64,128\noversample = 4\n")
     assert run(tmp_path, "ww", "--config", str(ini), "--system",
                "rotation:alpha=0.3183", "--weight", "hb:Q=2") == 0
-    lines = (tmp_path / "ww_rotation.csv").read_text().splitlines()
+    lines = csv_path(tmp_path).read_text().splitlines()
     assert len(lines) == 3  # one row per configured N
     assert [line.split(",")[0] for line in lines[1:]] == ["64", "128"]
     rec = manifest_lines(tmp_path)[-1]
@@ -781,7 +847,7 @@ def test_config_precedence(tmp_path):
     cli._sieve_memo.clear()
     assert run(tmp_path, "rtt", "--config", str(ini), "--weight", "vonmangoldt",
                "--cache-dir", str(cache)) == 0
-    lines = (tmp_path / "rtt_rotation_rotation.csv").read_text().splitlines()
+    lines = csv_path(tmp_path).read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["64", "128"]
     assert sorted(p.name for p in cache.iterdir()) == ["sieve_128.hbg", "sieve_64.hbg"]
     assert not other.exists()  # the config cache_dir only fills a missing --cache-dir
@@ -794,7 +860,7 @@ def test_config_precedence(tmp_path):
     assert (other / "sieve_100.hbg").exists()
     # a config value replaces the flag's value
     assert run(tmp_path, "expect", "--qs", "1,1,1,1,1,1,1,1", "--config", str(ini)) == 0
-    lines = (tmp_path / "expect_1.csv").read_text().splitlines()
+    lines = csv_path(tmp_path).read_text().splitlines()
     assert lines[1].startswith("3,1,1,3,1,3,3,1,")
 
 
@@ -840,18 +906,18 @@ def fresh_parser():
     cli.build_parser.cache_clear()
 
 
-@pytest.mark.parametrize("argv, csv", [
-    ("unorm --weight hb:Q=4 --N 3000 --s 3", "unorm_hb_Q=4_3000.csv"),
-    ("decay --qs 2 --M 4096 --mode both", "decay_both.csv"),
-])
-def test_threads_write_identical_csvs(tmp_path, argv, csv):
+@pytest.mark.parametrize("argv", ["unorm --weight hb:Q=4 --N 3000 --s 3",
+                                  "decay --qs 2 --M 4096 --mode both"],
+                         ids=["unorm", "decay"])
+def test_threads_write_identical_csvs(tmp_path, argv):
     # the interval U^3 computes each row on its own, so --threads moves no byte
-    data = set()
+    # and, being left out of the name, no name
+    csvs = set()
     for threads in ([], ["--threads", "1"], ["--threads", "2"], ["--threads", "3"]):
         out = tmp_path / (threads[-1] if threads else "default")
         assert run(out, *argv.split(), *threads) == 0
-        data.add((out / csv).read_bytes())
-    assert len(data) == 1
+        csvs.add((csv_path(out).name, csv_path(out).read_bytes()))
+    assert len(csvs) == 1
 
 
 def test_threads_default_is_the_usable_cpus(tmp_path, monkeypatch, fresh_parser):
@@ -894,17 +960,40 @@ def test_threads_default_without_affinity(monkeypatch, fresh_parser):
         assert cli.build_parser().parse_args(["decay"]).threads == threads
 
 
-def test_experiment_steps_parse(tmp_path):
-    # every step of both profiles of scripts/run_experiments.py parses, and
-    # the steps cover every verb; no verb runs
+def experiments_script():
     path = Path(__file__).resolve().parent.parent / "scripts" / "run_experiments.py"
     spec = importlib.util.spec_from_file_location("run_experiments", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_experiment_steps_parse(tmp_path):
+    # every step of both profiles of scripts/run_experiments.py parses, and
+    # the steps cover every verb; no verb runs
+    script = experiments_script()
     parser = cli.build_parser()
     verbs = {parser.parse_args([*argv, "--out-dir", str(tmp_path)]).verb
              for full in (False, True) for _, argv, _ in script.steps(tmp_path, full)}
     assert verbs == set(cli._COMMANDS)
+
+
+def test_experiment_sweep_checks_its_outputs(tmp_path, capsys, monkeypatch):
+    # the sweep checks the manifest records it appended: a CSV two of them name,
+    # which the later step overwrote, fails both checks, names the steps and exits 1
+    script = experiments_script()
+    monkeypatch.setattr(script, "steps", lambda out, full: [
+        ("all-ones mask", ["cube", "--mask", "255"], 0),
+        ("alternate mask", ["cube", "--mask", "170"], 0)])
+    monkeypatch.setattr(sys, "argv", ["run_experiments.py", "--out-dir", str(tmp_path)])
+    assert script.main() == 0
+    assert "2/2 steps as expected, 2/2 CSVs whole and named once" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "_csv_name", lambda args: "cube.csv")
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert "cube.csv of 'alternate mask' is also the CSV of 'all-ones mask'" in out
+    assert "cube.csv of 'all-ones mask' does not hash to its manifest sha256" in out
+    assert "2/2 steps as expected, 0/2 CSVs whole and named once" in out
 
 
 def test_config_file_missing(tmp_path, capsys):
