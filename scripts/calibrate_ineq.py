@@ -153,7 +153,8 @@ def sweep_transfer() -> float:
             ("doubling", averages.orbit(averages.doubling("sqrt2"), N)),
             ("signs", averages.orbit(averages.random_signs(7), N)),
         ):
-            res = averages.ineq_u3_modulated(f.values, w, N, oversample=8)
+            res = averages.ineq_u3_modulated(f.values, w, N, oversample=8,
+                                             workers=gowers.usable_cpus())
             print(f"transfer N={N} {sysname}: ratio {res.ratio!r}")
             worst = max(worst, res.ratio)
     print(f"transfer family: max ratio {worst!r}")

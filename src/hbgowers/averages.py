@@ -270,33 +270,41 @@ def _shift_matrix(f: np.ndarray, N: int) -> np.ndarray:
     return sliding_window_view(ext, N)[: 2 * N, ::-1]
 
 
+def _grid_plan(N: int, K: int) -> list[tuple[int, int, int]]:
+    """The u3mod plan: the 2N shifted rows x in one bucket of length-KN grids."""
+    return [(0, 2 * N, K * N)]
+
+
 def ineq_u3_modulated(f: np.ndarray, w: np.ndarray, N: int, *,
-                      oversample: int) -> IneqResult:
+                      oversample: int, workers: int = 1) -> IneqResult:
     """Adversarially modulated fourth-moment control by ||w||^4_{U^3[N]}.
 
     The inner sup picks, for every x separately, the grid frequency
     maximizing |E_n w(n) f(x-n) e(n theta)| -- the worst theta(x) the bound
-    must absorb.  Each row's sup is computed on its own by gowers._run_rows,
-    so no value depends on the batch size.  The fourth powers are summed in
-    fixed blocks of 256 rows only because the perfbench ``lib transfer``
-    pins and test_ineq_u3mod_transfer_lhs_pinned compare this lhs bitwise,
-    and one sum over all rows moves its last bit; the blocks can go when
-    those pins are re-cut.
+    must absorb.  Each row's sup is computed on its own by gowers._run_rows
+    on ``workers`` threads, so no value depends on the batch size or the
+    worker count.  The fourth powers are summed in fixed blocks of 256 rows
+    only because the perfbench ``lib transfer`` pins and
+    test_ineq_u3mod_transfer_lhs_pinned compare this lhs bitwise, and one
+    sum over all rows moves its last bit; the blocks can go when those pins
+    are re-cut.
     """
     if oversample < 2:
         raise ValueError(f"oversample must be >= 2, got {oversample}")
     f, w = np.asarray(f), np.asarray(w)
     L = oversample * N
     u = _shift_matrix(f, N)
-    plan = [(0, 2 * N, L)]
-    pad = np.zeros((gowers._plan_rows(plan), L), dtype=complex)
-    spec = np.empty_like(pad)
 
-    def sup_rows(a: int, b: int, n: int) -> np.ndarray:
-        np.multiply(u[a:b], w[:N], out=pad[: b - a, 1 : N + 1])
-        return np.max(_grid_modulus(pad[: b - a], spec[: b - a]), axis=1)
+    def make_rows(rows: int):
+        pad = np.zeros((rows, L), dtype=complex)
+        spec = np.empty_like(pad)
 
-    sup = gowers._run_rows(plan, sup_rows)
+        def sup_rows(a: int, b: int, n: int) -> np.ndarray:
+            np.multiply(u[a:b], w[:N], out=pad[: b - a, 1 : N + 1])
+            return np.max(_grid_modulus(pad[: b - a], spec[: b - a]), axis=1)
+        return sup_rows
+
+    sup = gowers._run_rows(_grid_plan(N, oversample), make_rows, workers)
     acc = 0.0
     for lo in range(0, 2 * N, 256):
         acc += float(np.sum((sup[lo : lo + 256] / N) ** 4))
@@ -312,34 +320,42 @@ def ineq_u4_convolution(f: np.ndarray, w: np.ndarray, N: int) -> IneqResult:
     return IneqResult(lhs, _norm_pow(w[:N], N, 3, 4))
 
 
-def ineq_rtt(f: np.ndarray, w: np.ndarray, g_family: np.ndarray, N: int) -> IneqResult:
+def _rtt_plan(N: int) -> list[tuple[int, int, int]]:
+    """The rtt plan: the 2N rows x in one bucket, padded for the length-(2N - 1) convolution."""
+    return [(0, 2 * N, gowers._smooth_lengths(2 * N - 1)[-1])]
+
+
+def ineq_rtt(f: np.ndarray, w: np.ndarray, g_family: np.ndarray, N: int,
+             workers: int = 1) -> IneqResult:
     """Return-times control: E_x |E_y |E_n w(n) f(x-n) g_x(y-n)|^2|^2.
 
     ``g_family`` holds one 1-bounded row g_x per x in [2N] (shape (2N, N)).
-    Each row's inner average lands in a (2N,) array that is averaged once, so
-    the value does not depend on the batch size.
+    Each row's inner average lands in a (2N,) array that is averaged once,
+    whatever the batch size or the ``workers`` gowers._run_rows runs it on,
+    each share in its own reused buffers.
     """
     f, w = np.asarray(f), np.asarray(w)
     g_family = np.asarray(g_family)
     if g_family.shape != (2 * N, N):
         raise ValueError(f"g_family must have shape (2N, N) = {(2 * N, N)}")
     u = _shift_matrix(f, N)
-    size = gowers._smooth_lengths(2 * N - 1)[-1]
-    plan = [(0, 2 * N, size)]
-    rows = np.empty((gowers._plan_rows(plan), N), dtype=np.result_type(f, w))
-    U = np.empty((len(rows), size), dtype=complex)
-    G = np.empty_like(U)
+    plan = _rtt_plan(N)
 
-    def inner_rows(a: int, b: int, n: int) -> np.ndarray:
-        m = b - a
-        np.multiply(u[a:b], w[:N], out=rows[:m])  # rows u_x
-        np.fft.fft(rows[:m], n, axis=1, out=U[:m])
-        np.fft.fft(g_family[a:b], n, axis=1, out=G[:m])
-        U[:m] *= G[:m]
-        conv = np.fft.ifft(U[:m], axis=1, out=U[:m])  # index y-2 over y = 2..2N
-        return np.sum(np.abs(conv[:, : N - 1] / N) ** 2, axis=1) / N  # y <= N
+    def make_rows(rows: int):
+        uw = np.empty((rows, N), dtype=np.result_type(f, w))
+        U, G = np.empty((2, rows, plan[0][2]), dtype=complex)
 
-    inner = gowers._run_rows(plan, inner_rows)
+        def inner_rows(a: int, b: int, n: int) -> np.ndarray:
+            m = b - a
+            np.multiply(u[a:b], w[:N], out=uw[:m])  # rows u_x
+            np.fft.fft(uw[:m], n, axis=1, out=U[:m])
+            np.fft.fft(g_family[a:b], n, axis=1, out=G[:m])
+            U[:m] *= G[:m]
+            conv = np.fft.ifft(U[:m], axis=1, out=U[:m])  # index y-2 over y = 2..2N
+            return np.sum(np.abs(conv[:, : N - 1] / N) ** 2, axis=1) / N  # y <= N
+        return inner_rows
+
+    inner = gowers._run_rows(plan, make_rows, workers)
     lhs = float(np.mean(inner**2))
     return IneqResult(lhs, _norm_pow(w[:N], N, 3, 4))
 

@@ -44,12 +44,12 @@ flag, or by config key for ns and threads) and an --out-dir that mkdir would
 refuse exit 2 before any verb runs; --oversample below 2 and a repeated
 decay --qs entry exit 2 from the verb.
 
---threads (unorm, decay, approx) is the worker count of the interval U^3
-kernel.  It defaults to the CPUs the process may run on
-(gowers.usable_cpus: os.sched_getaffinity, else os.cpu_count()), and the
-manifest records it; the kernel uses no more workers than that count, and
-one below length gowers._U3_THREADED_LEN.  Every value is bitwise the same
-for any thread count.
+--threads (unorm, decay, approx, ineq) is the worker count of the interval
+U^3 kernel, and in ineq of the u3mod grid and the rtt lhs.  It defaults to
+the CPUs the process may run on (gowers.usable_cpus: os.sched_getaffinity,
+else os.cpu_count()), and the manifest records it; no kernel uses more, and
+the interval U^3 uses one below length gowers._U3_THREADED_LEN.  Every value
+is bitwise the same for any thread count.
 
 Each verb takes --config and --out-dir plus only the flags it reads; any other
 flag is refused by argparse with exit code 2.  --config reads the INI [sweep]
@@ -346,12 +346,12 @@ def cmd_ineq(args) -> tuple[dict, tuple | None]:
             if name == "u2":
                 res = averages.ineq_u2(f, w.values, args.N)
             elif name == "u3mod":
-                res = averages.ineq_u3_modulated(f, w.values, args.N,
-                                                 oversample=args.oversample)
+                res = averages.ineq_u3_modulated(f, w.values, args.N, oversample=args.oversample,
+                                                 workers=args.threads)
             elif name == "u4conv":
                 res = averages.ineq_u4_convolution(f, w.values, args.N)
             elif name == "rtt":
-                res = averages.ineq_rtt(f, w.values, gx, args.N)
+                res = averages.ineq_rtt(f, w.values, gx, args.N, workers=args.threads)
             else:
                 res = averages.ineq_double_recurrence(f, g, w.values, args.N)
             bound = INEQ_CONSTANTS[name]
@@ -509,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="8 comma-separated squarefree moduli")
     sp.add_argument("--samples", type=int, default=0)
 
-    sp = verb("ineq", "transfer inequality trials", *_WEIGHT_FLAGS, "--oversample", "--seed")
+    sp = verb("ineq", "transfer inequality trials",
+              *_WEIGHT_FLAGS, "--oversample", "--seed", "--threads")
     sp.add_argument("--name", default="all", choices=["all", *INEQ_CONSTANTS])
     sp.add_argument("--trials", type=int, default=10)
 

@@ -34,13 +34,12 @@ over a plan of (lo, end, n) buckets, each cut by the one rule :func:`_batches`
 into batches of about _BATCH_POINTS / workers points, so the points in
 flight on all workers together stay about _BATCH_POINTS; the workers are
 capped at :func:`usable_cpus`, and each row's value is computed on its own,
-so the batch size and the thread count never move a number.  Only the
-interval U^3 runs on more than one worker, and only from L =
-_U3_THREADED_LEN; every other kernel passes none and runs its one-worker
-batches on the calling thread.
+so the batch size and the thread count never move a number.  The interval
+U^3 (from L = _U3_THREADED_LEN), the u3mod grid and the rtt lhs take a
+worker count; the cyclic U^3 runs one worker, on the calling thread.
 Two readers of a plan stand beside it: :func:`_plan_work`, the FFT work the
 cli cost model prices, and :func:`_plan_rows`, the rows of the largest
-batch, which sizes the buffers the averages kernels reuse across batches.
+batch, which sizes the buffers each share of the driver reuses.
 
 The brute-force evaluator walks the h-tuples of the definition literally and
 is the oracle the fast paths are tested against.
@@ -203,8 +202,7 @@ def _batches(lo: int, hi: int, n: int, workers: int = 1) -> list[tuple[int, int]
     """[lo, hi) cut into ranges [a, b) of max(1, _BATCH_POINTS // (n * workers)) rows at most.
 
     Each of the ``workers`` threads :func:`_run_rows` runs holds one batch at a
-    time, so the points in flight stay about _BATCH_POINTS for any ``workers``;
-    one worker cuts the serial kernels' batches.
+    time, so the points in flight stay about _BATCH_POINTS for any ``workers``.
     """
     batch = max(1, _BATCH_POINTS // (n * workers))
     return [(a, min(a + batch, hi)) for a in range(lo, hi, batch)]
@@ -232,9 +230,9 @@ def _plan_work(plan: list[tuple[int, int, int]]) -> float:
     return sum((end - lo) * n * log2(n) for lo, end, n in plan)
 
 
-def _plan_rows(plan: list[tuple[int, int, int]]) -> int:
-    """Rows of the largest batch :func:`_batches` cuts from a plan's buckets."""
-    return max(b - a for lo, end, n in plan for a, b in _batches(lo, end, n))
+def _plan_rows(plan: list[tuple[int, int, int]], workers: int) -> int:
+    """Rows of the largest batch :func:`_batches` cuts from a plan's buckets for ``workers``."""
+    return max(b - a for lo, end, n in plan for a, b in _batches(lo, end, n, workers))
 
 
 def usable_cpus() -> int:
@@ -245,36 +243,40 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_rows(plan: list[tuple[int, int, int]], rows_fn, workers: int = 1) -> np.ndarray:
+def _run_rows(plan: list[tuple[int, int, int]], make_rows, workers: int = 1) -> np.ndarray:
     """out[a:b] = rows_fn(a, b, n) for each batch [a, b) of each plan bucket (lo, end, n).
 
     ``workers`` is capped at :func:`usable_cpus` first, then the buckets are
     cut by :func:`_batches` for it, so neither the batch size nor the thread
     count follows a worker count past the cores.  out has the plan's last end
     entries and each row is computed on its own, so no value depends on
-    ``workers``.  The batch list is dealt into k = min(workers, batches)
-    strided shares: the calling thread runs share 0 and a pool of k - 1
-    threads the rest (each pool thread takes a malloc arena of its own, so
-    the caller working keeps the peak memory down), so rows_fn must be
-    thread-safe when k > 1, and one worker starts no thread.  A share's
-    exception is re-raised here.
+    ``workers``.  The batches are dealt into k = min(workers, batches)
+    strided shares, each run by its own rows_fn = make_rows(_plan_rows(plan,
+    workers)); the k factories run on the calling thread first, so the
+    buffers a share reuses come from the main malloc arena.  The caller runs
+    share 0 and a pool of k - 1 threads the rest (each pool thread takes an
+    arena of its own, so the caller working keeps the peak memory down); one
+    worker starts no thread.  A share's exception is re-raised here.
     """
+    _check_workers(workers)
     if workers > 1:
         workers = min(workers, usable_cpus())
     jobs = [(a, b, n) for lo, end, n in plan for a, b in _batches(lo, end, n, workers)]
     out = np.empty(plan[-1][1])
-
-    def run(share):
-        for a, b, n in share:
-            out[a:b] = rows_fn(a, b, n)
-
     k = min(workers, len(jobs))
+    rows = _plan_rows(plan, workers)
+    rows_fns = [make_rows(rows) for _ in range(k)]
+
+    def run(t):
+        for a, b, n in jobs[t::k]:
+            out[a:b] = rows_fns[t](a, b, n)
+
     if k == 1:
-        run(jobs)
+        run(0)
     else:
         with ThreadPoolExecutor(max_workers=k - 1) as pool:
-            shares = [pool.submit(run, jobs[t::k]) for t in range(1, k)]
-            run(jobs[::k])
+            shares = [pool.submit(run, t) for t in range(1, k)]
+            run(0)
             for share in shares:
                 share.result()
     return out
@@ -308,7 +310,7 @@ def gowers_u3_fast(f: Series, workers: int = 1) -> float:
         values = values.astype(np.float64)
     conj_padded = np.concatenate([np.conj(values), np.zeros(L, dtype=values.dtype)])
     win = sliding_window_view(conj_padded, L)
-    per_h = _run_rows(_u3_buckets(L), lambda a, b, n: _pow4_rows(
+    per_h = _run_rows(_u3_buckets(L), lambda rows: lambda a, b, n: _pow4_rows(
         values[None, : L - a] * win[a:b, : L - a], n),
         workers if L >= _U3_THREADED_LEN else 1)
     return float(per_h[0] + 2.0 * np.sum(per_h[1:]))
@@ -363,7 +365,8 @@ def gowers_cyclic(values: np.ndarray, s: int) -> float:
     if s == 2:
         return float((_pow4_rows(v[None, :], P)[0] / P**3) ** 0.25)
     win = sliding_window_view(np.conj(np.concatenate([v, v])), P)  # row h: conj f(x + h)
-    per_h = _run_rows(_cyclic_plan(P), lambda a, b, n: _pow4_rows(v[None, :] * win[a:b], n))
+    per_h = _run_rows(_cyclic_plan(P),
+                      lambda rows: lambda a, b, n: _pow4_rows(v[None, :] * win[a:b], n))
     return float((float(np.sum(per_h)) / P**4) ** (1.0 / 8.0))
 
 

@@ -409,6 +409,30 @@ def test_ineq_rtt_batch_independent(monkeypatch, points):
     assert averages.ineq_rtt(f, w, g, N).lhs == lhs
 
 
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_transfer_worker_determinism(monkeypatch, real):
+    # the u3mod grid and the rtt lhs compute each row on its own, each share
+    # in its own buffers, so the lhs is == for any worker count.  At N = 300
+    # no worker count past one cuts a batch count its shares divide evenly
+    monkeypatch.setattr(gowers, "usable_cpus", lambda: 4)
+    rng = np.random.default_rng(27)
+    for N, with_rtt in ((300, True), (2048, False)):
+        f, w = bounded_random(rng, N), bounded_random(rng, N)
+        if real:
+            f, w = f.real.copy(), w.real.copy()
+        u3mod = averages.ineq_u3_modulated(f, w, N, oversample=8).lhs
+        assert all(averages.ineq_u3_modulated(f, w, N, oversample=8, workers=k).lhs == u3mod
+                   for k in (2, 3, 4)), N
+        if with_rtt:
+            g = bounded_random(rng, (2 * N, N))
+            rtt = averages.ineq_rtt(f, w, g, N).lhs
+            assert all(averages.ineq_rtt(f, w, g, N, workers=k).lhs == rtt for k in (2, 3, 4))
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                averages.ineq_rtt(f, w, g, N, workers=0)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        averages.ineq_u3_modulated(f, w, N, oversample=8, workers=0)
+
+
 def test_ineq_rtt_shape_guard():
     with pytest.raises(ValueError):
         averages.ineq_rtt(np.ones(8), np.ones(8), np.ones((8, 8)), 8)
@@ -454,7 +478,7 @@ def test_transfer_sup_grid_invariant():
                        averages.doubling("sqrt2"),
                        averages.random_signs(7)):
             f = averages.orbit(system, N)
-            res = averages.ineq_u3_modulated(f.values, w, N, oversample=8)
+            res = averages.ineq_u3_modulated(f.values, w, N, oversample=8, workers=2)
             assert res.lhs <= C * res.rhs, (N, system.kind, res.ratio)
 
 

@@ -286,7 +286,7 @@ def test_u3_work_sums_the_chunks():
             batches.append((a, b, n))
             return np.zeros(b - a)
 
-        gowers._run_rows(gowers._u3_buckets(L), record)
+        gowers._run_rows(gowers._u3_buckets(L), lambda rows: record)
         work = sum((b - a) * n * log2(n) for a, b, n in batches)
         assert isclose(cli.estimate_u3_seconds(L), U3_SECONDS_PER_WORK * work,
                        rel_tol=1e-12), L
@@ -871,7 +871,7 @@ VERB_FLAGS = {
     "ap": "--N --T --weight --cache-dir --q",
     "cube": "--mask --exhaustive",
     "expect": "--qs --samples --seed",
-    "ineq": "--N --T --weight --cache-dir --oversample --seed --name --trials",
+    "ineq": "--N --T --weight --cache-dir --oversample --seed --threads --name --trials",
     "ww": "--N --T --weight --cache-dir --oversample --system",
     "rtt": "--N --T --weight --cache-dir --system --system2",
     "decay": "--threads --budget-seconds --qs --M --mode",
@@ -907,11 +907,12 @@ def fresh_parser():
 
 
 @pytest.mark.parametrize("argv", ["unorm --weight hb:Q=4 --N 3000 --s 3",
-                                  "decay --qs 2 --M 4096 --mode both"],
-                         ids=["unorm", "decay"])
+                                  "decay --qs 2 --M 4096 --mode both",
+                                  "ineq --name all --N 300 --trials 2"],
+                         ids=["unorm", "decay", "ineq"])
 def test_threads_write_identical_csvs(tmp_path, argv):
-    # the interval U^3 computes each row on its own, so --threads moves no byte
-    # and, being left out of the name, no name
+    # the interval U^3, the u3mod grid and the rtt lhs compute each row on its
+    # own, so --threads moves no byte and, being left out of the name, no name
     csvs = set()
     for threads in ([], ["--threads", "1"], ["--threads", "2"], ["--threads", "3"]):
         out = tmp_path / (threads[-1] if threads else "default")

@@ -135,7 +135,7 @@ def test_run_rows_writes_every_row_once(monkeypatch, cpus, points):
     # written exactly once, over uneven last batches and for any worker count.
     # The plan's readers see the batches the driver runs: the cost model's
     # _plan_work is their sum (up to rounding: n log2 n is not an integer at
-    # 5-smooth n), the reused buffers' _plan_rows their largest
+    # 5-smooth n), the shares' buffers' _plan_rows their largest
     if points is not None:
         monkeypatch.setattr(gowers, "_BATCH_POINTS", points)
     cpus(3)
@@ -151,20 +151,18 @@ def test_run_rows_writes_every_row_once(monkeypatch, cpus, points):
 
         for workers in (1, 2, 3):
             batches.clear()
-            assert (gowers._run_rows(plan, rows_fn, workers) == np.arange(end)).all()
+            assert (gowers._run_rows(plan, lambda rows: rows_fn, workers)
+                    == np.arange(end)).all()
             batches.sort()  # the order the pool ran them in is not fixed
             work = sum((b - a) * n * log2(n) for a, b, n in batches)
             assert isclose(gowers._plan_work(plan), work, rel_tol=1e-12)
-            assert max(b - a for a, b, _ in batches) == max(
-                b - a for lo, hi, n in plan for a, b in gowers._batches(lo, hi, n, workers))
-            if workers == 1:
-                assert gowers._plan_rows(plan) == max(b - a for a, b, _ in batches)
+            assert gowers._plan_rows(plan, workers) == max(b - a for a, b, _ in batches)
 
 
 def test_batches_one_worker_is_the_serial_cut():
     # one worker cuts every bucket into batches of max(1, _BATCH_POINTS // n)
-    # rows, the cut the serial kernels (u3mod, rtt, cyclic U^3) and their
-    # reused buffers are sized by; w workers cut batches w times smaller
+    # rows, the cut a one-worker run (the cyclic U^3 always) and its reused
+    # buffers are sized by; w workers cut batches w times smaller
     plans = [gowers._u3_buckets(L) for L in (*range(1, 71), 700, 3000)]
     for plan in (*plans, [(0, 257, 3 * 257)], [(0, 2 * 2048, 8 * 2048)]):
         for lo, end, n in plan:
@@ -177,10 +175,11 @@ def test_batches_one_worker_is_the_serial_cut():
 
 
 def _ident_rows(idents):
+    # a rows factory whose batches record the thread that runs them
     def rows_fn(a, b, n):
         idents.append(threading.get_ident())
         return np.zeros(b - a)
-    return rows_fn
+    return lambda rows: rows_fn
 
 
 def test_run_rows_caps_workers_at_the_cpus(monkeypatch, cpus):
@@ -210,8 +209,8 @@ def test_run_rows_caps_workers_at_the_cpus(monkeypatch, cpus):
         cpus(count)
         sizes.clear()
         batches = []
-        out = gowers._run_rows(plan, lambda a, b, n: batches.append((a, b, n)) or np.zeros(b - a),
-                               10000)
+        out = gowers._run_rows(
+            plan, lambda rows: lambda a, b, n: batches.append((a, b, n)) or np.zeros(b - a), 10000)
         assert out.shape == (8192,)
         assert sizes == ([count - 1] if count > 1 else [])
         assert sorted(batches) == [(a, b, n) for lo, end, n in plan
@@ -235,9 +234,9 @@ def test_u3_threads_from_the_threaded_length(monkeypatch):
     seen = []
     run_rows = gowers._run_rows
 
-    def record(plan, rows_fn, workers=1):
+    def record(plan, make_rows, workers=1):
         seen.append(workers)
-        return run_rows(plan, rows_fn, workers)
+        return run_rows(plan, make_rows, workers)
 
     monkeypatch.setattr(gowers, "_run_rows", record)
     rng = np.random.default_rng(8)
@@ -258,7 +257,7 @@ def test_run_rows_threads_lose_no_row(cpus):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            out = gowers._run_rows(plan, lambda a, b, n: np.arange(a, b) * 1.0, 8)
+            out = gowers._run_rows(plan, lambda rows: lambda a, b, n: np.arange(a, b) * 1.0, 8)
             assert (out == np.arange(3000)).all()
     finally:
         sys.setswitchinterval(interval)
@@ -277,6 +276,34 @@ def test_run_rows_one_worker_starts_no_thread(monkeypatch):
     assert set(idents) == {threading.get_ident()}
 
 
+def test_run_rows_makes_one_rows_fn_per_share(cpus):
+    # make_rows is called once per share, all k calls on the calling thread
+    # before any share runs, each with the rows of the plan's largest batch
+    # for the worker count; each rows_fn is then run by one thread only
+    cpus(3)
+    caller = threading.get_ident()
+    for plan in (gowers._u3_buckets(3000), [(0, 600, 2400)], [(0, 2, 1 << 18)], [(0, 1, 8)]):
+        for workers in (1, 2, 3):
+            calls, runs = [], {}
+
+            def make_rows(rows):
+                calls.append((threading.get_ident(), rows, len(runs)))
+                fn_id = len(calls)
+
+                def rows_fn(a, b, n):
+                    runs.setdefault(fn_id, set()).add(threading.get_ident())
+                    return np.zeros(b - a)
+                return rows_fn
+
+            gowers._run_rows(plan, make_rows, workers)
+            k = min(workers, sum(len(gowers._batches(lo, end, n, workers))
+                                 for lo, end, n in plan))
+            assert calls == [(caller, gowers._plan_rows(plan, workers), 0)] * k
+            assert sorted(runs) == list(range(1, k + 1))
+            assert all(len(idents) == 1 for idents in runs.values())
+            assert runs[1] == {caller}
+
+
 def test_run_rows_reraises_a_worker_exception(cpus):
     # the second batch is share 1 of two, run on the pool, not on the caller
     cpus(2)
@@ -289,7 +316,7 @@ def test_run_rows_reraises_a_worker_exception(cpus):
         return np.zeros(b - a)
 
     with pytest.raises(ZeroDivisionError, match="share 1"):
-        gowers._run_rows([(0, 2, 1 << 18)], rows_fn, 2)
+        gowers._run_rows([(0, 2, 1 << 18)], lambda rows: rows_fn, 2)
 
 
 def _is_5_smooth(k):
