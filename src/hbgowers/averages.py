@@ -99,6 +99,24 @@ def bounded_random(rng: np.random.Generator, shape) -> np.ndarray:
     return z
 
 
+class BoundedRows:
+    """bounded_random(rng, (R, N)) drawn by row slices: rng skips its 2 R N draws at once, and
+    rows[a:b] takes draws a N on (real) and (R + a) N on (imag) from a copy of rng's old state."""
+
+    def __init__(self, rng: np.random.Generator, shape: tuple[int, int]):
+        self.shape, self._state, self._cls = shape, rng.bit_generator.state, type(rng.bit_generator)
+        rng.bit_generator.advance(2 * shape[0] * shape[1])
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        (R, N), (a, b, _) = self.shape, rows.indices(self.shape[0])
+        bits = self._cls(0)  # a seed, not OS entropy, builds the copy; the kept state replaces it
+        bits.state, z = self._state, np.empty((b - a, N), dtype=complex)
+        for part, skip in ((z.real, a * N), (z.imag, (R - b + a) * N)):
+            bits.advance(skip)
+            part[...] = np.random.Generator(bits).uniform(-1, 1, (b - a, N))
+        return np.divide(z, np.sqrt(2.0), out=z)  # in place, as bounded_random
+
+
 def splitmix64(seed: int, count: int) -> np.ndarray:
     """First ``count`` outputs of the splitmix64 stream as uint64."""
     idx = np.arange(1, count + 1, dtype=np.uint64)
@@ -329,13 +347,13 @@ def ineq_rtt(f: np.ndarray, w: np.ndarray, g_family: np.ndarray, N: int,
              workers: int = 1) -> IneqResult:
     """Return-times control: E_x |E_y |E_n w(n) f(x-n) g_x(y-n)|^2|^2.
 
-    ``g_family`` holds one 1-bounded row g_x per x in [2N] (shape (2N, N)).
+    ``g_family`` is any (2N, N) row source read by row slices, an array or a
+    BoundedRows: one 1-bounded row g_x per x in [2N], read a batch at a time.
     Each row's inner average lands in a (2N,) array that is averaged once,
     whatever the batch size or the ``workers`` gowers._run_rows runs it on,
     each share in its own reused buffers.
     """
     f, w = np.asarray(f), np.asarray(w)
-    g_family = np.asarray(g_family)
     if g_family.shape != (2 * N, N):
         raise ValueError(f"g_family must have shape (2N, N) = {(2 * N, N)}")
     u = _shift_matrix(f, N)

@@ -34,15 +34,15 @@ spec as the CSV writes it, so two runs share a name only if they share bytes.
 
 The U^3 cost model is gowers._plan_work (rows * n log2 n per bucket) of the
 kernel's own plan (gowers._u3_buckets, or gowers._cyclic_plan for a cyclic
-norm) times the frozen coefficient calibration.U3_SECONDS_PER_WORK, so one
-argv is always priced the same, in one-thread seconds on the reference box,
-whatever --threads is.  --budget-seconds bounds a run: unorm, decay and
-approx sum the estimates of all their U^3 items and exit 3 over the budget
-before any weight, sieve or transform is built.  A budget that is
-NaN, infinite, zero or negative, an integer below its _AT_LEAST bound (by
-flag, or by config key for ns and threads) and an --out-dir that mkdir would
-refuse exit 2 before any verb runs; --oversample below 2 and a repeated
-decay --qs entry exit 2 from the verb.
+norm) times the frozen coefficient calibration.U3_SECONDS_PER_WORK, so one argv
+is always priced the same, in one-thread seconds on the reference box, whatever
+--threads is.  --budget-seconds bounds a run: unorm, decay and approx sum the
+estimates of their U^3 items (each norm, then a normalizer per distinct length)
+and exit 3 over it before any weight, sieve or transform is built; ineq has no
+time gate.  A budget that is NaN, infinite, zero or negative, an integer below
+its _AT_LEAST bound (by flag, or by config key for ns and threads) and an
+--out-dir that mkdir would refuse exit 2 before any verb runs; --oversample
+below 2 and a repeated decay --qs entry exit 2 from the verb.
 
 --threads (unorm, decay, approx, ineq) is the worker count of the interval
 U^3 kernel, and in ineq of the u3mod grid and the rtt lhs.  It defaults to
@@ -92,6 +92,11 @@ class BudgetExceeded(Exception):
 
 def estimate_u3_seconds(N: int) -> float:
     return U3_SECONDS_PER_WORK * gowers._plan_work(gowers._u3_buckets(N))
+
+
+def _normalizer_items(ns: list[int]) -> list[tuple[str, float]]:
+    """A cold gowers_normalized(., n, 3) runs interval_normalizer(n, 3): one U^3 per distinct n."""
+    return [(f"normalizer U^3 at N={n}", estimate_u3_seconds(n)) for n in dict.fromkeys(ns)]
 
 
 def check_budget(items: list[tuple[str, float]], budget: float) -> None:
@@ -257,8 +262,9 @@ def cmd_sieve(args) -> tuple[dict, tuple | None]:
 
 
 def cmd_unorm(args) -> tuple[dict, tuple | None]:
-    check_budget([(f"U^3 at N={args.N}", estimate_u3_seconds(args.N))
-                  for s in args.s if s == 3], args.budget_seconds)
+    ns = [args.N for s in args.s if s == 3]
+    check_budget([(f"U^3 at N={N}", estimate_u3_seconds(N)) for N in ns] + _normalizer_items(ns),
+                 args.budget_seconds)
     w = parse_weight(args.weight, args.N, args.T, args.cache_dir)
     rows = []
     for s in args.s:
@@ -337,11 +343,7 @@ def cmd_ineq(args) -> tuple[dict, tuple | None]:
     for trial in range(args.trials):
         f = averages.bounded_random(rng, args.N)
         g = averages.bounded_random(rng, args.N)
-        if "rtt" in names:
-            gx = averages.bounded_random(rng, (2 * args.N, args.N))
-        else:
-            # skip the 4 N^2 doubles the g-family takes, so later draws match
-            rng.bit_generator.advance(4 * args.N * args.N)
+        gx = averages.BoundedRows(rng, (2 * args.N, args.N))
         for name in names:
             if name == "u2":
                 res = averages.ineq_u2(f, w.values, args.N)
@@ -413,7 +415,8 @@ def cmd_decay(args) -> tuple[dict, tuple | None]:
             work = gowers._plan_work(gowers._cyclic_plan(P))
             items.append((Q, "cyclic", P, f"cyclic U^3 at P_Q={P} (Q={Q})",
                           U3_SECONDS_PER_WORK * work))
-    check_budget([item[3:] for item in items], args.budget_seconds)
+    Ms = [item[2] for item in items if item[1] == "interval"]
+    check_budget([item[3:] for item in items] + _normalizer_items(Ms), args.budget_seconds)
     rows = []
     premise = {}
     for Q, mode, M, _, _ in items:
@@ -437,8 +440,9 @@ def cmd_decay(args) -> tuple[dict, tuple | None]:
 def cmd_approx(args) -> tuple[dict, tuple | None]:
     if max(args.ns) > 10**7:  # a hand cap: the sieve is not priced
         raise ValueError(f"approx needs N <= 10^7, got {max(args.ns)}")
-    check_budget([(f"U^3 at N={N}", estimate_u3_seconds(N))
-                  for N in args.ns if args.s == 3], args.budget_seconds)
+    ns = args.ns if args.s == 3 else []
+    check_budget([(f"U^3 at N={N}", estimate_u3_seconds(N)) for N in ns] + _normalizer_items(ns),
+                 args.budget_seconds)
     rows = []
     for N in args.ns:
         Q = hb_model.q_schedule(N)

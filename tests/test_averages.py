@@ -433,9 +433,40 @@ def test_transfer_worker_determinism(monkeypatch, real):
         averages.ineq_u3_modulated(f, w, N, oversample=8, workers=0)
 
 
+@pytest.mark.parametrize("N", [1, 3, 300])
+def test_bounded_rows_bytes(N):
+    # each row slice has the bytes of the same slice of the whole bounded_random
+    # array, the oracle, in any read order, and the caller's generator is left
+    # where drawing the array leaves it
+    full_rng, rows_rng = np.random.default_rng(N), np.random.default_rng(N)
+    full = bounded_random(full_rng, (2 * N, N))
+    rows = averages.BoundedRows(rows_rng, (2 * N, N))
+    assert rows.shape == full.shape
+    for a, b in ((7, 100), (0, 7), (2 * N - 1, 2 * N), (0, 2 * N), (7, 100)):
+        block = rows[a:b]
+        assert block.shape == full[a:b].shape and block.tobytes() == full[a:b].tobytes(), (a, b)
+    assert rows_rng.uniform(-1, 1, 5).tobytes() == full_rng.uniform(-1, 1, 5).tobytes()
+
+
+def test_ineq_rtt_reads_bounded_rows(monkeypatch):
+    # the rtt lhs reads its g-family by row slices, so the row source that draws
+    # each batch's rows gives the lhs of the array it stands for, on any workers
+    monkeypatch.setattr(gowers, "usable_cpus", lambda: 4)
+    N = 300
+    f, w = bounded_random(np.random.default_rng(28), (2, N))
+    g = bounded_random(np.random.default_rng(29), (2 * N, N))
+    rows = averages.BoundedRows(np.random.default_rng(29), (2 * N, N))
+    lhs = averages.ineq_rtt(f, w, g, N).lhs
+    assert all(averages.ineq_rtt(f, w, source, N, workers=k).lhs == lhs
+               for source in (g, rows) for k in (1, 2, 3))
+
+
 def test_ineq_rtt_shape_guard():
     with pytest.raises(ValueError):
         averages.ineq_rtt(np.ones(8), np.ones(8), np.ones((8, 8)), 8)
+    rows = averages.BoundedRows(np.random.default_rng(0), (8, 8))
+    with pytest.raises(ValueError, match="g_family must have shape"):
+        averages.ineq_rtt(np.ones(8), np.ones(8), rows, 8)
     # an empty window has no rows to batch
     with pytest.raises(ValueError, match="N must be >= 1"):
         averages.ineq_rtt(np.ones(0), np.ones(0), np.ones((0, 0)), 0)

@@ -294,15 +294,18 @@ def test_u3_work_sums_the_chunks():
 
 def test_u3_pricing_runs_no_transform(tmp_path, capsys, monkeypatch):
     # the estimate is the frozen coefficient times the plan work: pricing runs
-    # no U^3 kernel and no row driver, and the refusal prints that product
+    # no U^3 kernel and no row driver, and the refusal prints that product,
+    # once for the norm and once for its cold interval normalizer
     def refuse(*args, **kwargs):
         raise AssertionError("a transform ran before the budget check")
 
     monkeypatch.setattr(gowers, "_run_rows", refuse)
     monkeypatch.setattr(gowers, "gowers_u3_fast", refuse)
     assert run(tmp_path, "decay", "--qs", "16", "--mode", "interval") == 3
-    estimate = U3_SECONDS_PER_WORK * gowers._plan_work(gowers._u3_buckets(720720))
-    assert f"estimated {estimate:.3g}s exceeds" in capsys.readouterr().err
+    estimate = 2 * U3_SECONDS_PER_WORK * gowers._plan_work(gowers._u3_buckets(720720))
+    err = capsys.readouterr().err
+    assert " + normalizer U^3 at N=720720: estimated" in err
+    assert f"estimated {estimate:.3g}s exceeds" in err
 
 
 def test_u3_refusal_is_reproducible(tmp_path):
@@ -483,16 +486,18 @@ def test_exit_three_decay_cyclic_budget(tmp_path, capsys, monkeypatch):
 def test_decay_budget_bounds_the_run(tmp_path, capsys, monkeypatch):
     # one gate per run prices the summed estimate of every U^3 item before any
     # weight or transform: a sweep is refused whole when one item is over the
-    # budget, and when every item fits but their sum does not
+    # budget, and when every item fits but their sum does not.  The items are
+    # the norms, then one cold interval normalizer per distinct M
     monkeypatch.setattr(hb_model, "lambda_Q", _refuse)
     monkeypatch.setattr(gowers, "_run_rows", _refuse)
     for argv, Ms, what in (
-            ("--qs 2 4 16 --M 8192", (8192, 8192, 720720),
+            ("--qs 2 4 16 --M 8192", (8192, 8192, 720720, 8192, 720720),
              "interval U^3 at M=8192 (Q=2) + interval U^3 at M=8192 (Q=4) + interval U^3 at "
-             "M=720720 (Q=16, raised to cover the period P_Q=720720)"),
-            ("--qs 2 4 8 --M 32768 --budget-seconds 20", (32768,) * 3,
+             "M=720720 (Q=16, raised to cover the period P_Q=720720) + normalizer U^3 at N=8192 "
+             "+ normalizer U^3 at N=720720"),
+            ("--qs 2 4 8 --M 32768 --budget-seconds 20", (32768,) * 4,
              "interval U^3 at M=32768 (Q=2) + interval U^3 at M=32768 (Q=4) + interval U^3 at "
-             "M=32768 (Q=8)")):
+             "M=32768 (Q=8) + normalizer U^3 at N=32768")):
         assert run(tmp_path, "decay", "--mode", "interval", *argv.split()) == 3, argv
         estimate = sum(cli.estimate_u3_seconds(M) for M in Ms)
         assert capsys.readouterr().err.startswith(
@@ -509,9 +514,10 @@ def test_refusals_build_no_sieve(tmp_path, capsys, monkeypatch):
     for argv, code, message in (
             ("approx --ns 1000 20000000", 2, "precondition: approx needs N <= 10^7"),
             ("approx --ns 1000 65536 --s 3 --budget-seconds 1", 3,
-             "budget: U^3 at N=1000 + U^3 at N=65536: estimated"),
+             "budget: U^3 at N=1000 + U^3 at N=65536 + normalizer U^3 at N=1000 + normalizer "
+             "U^3 at N=65536: estimated"),
             ("unorm --weight vonmangoldt --N 65536 --budget-seconds 1", 3,
-             "budget: U^3 at N=65536: estimated")):
+             "budget: U^3 at N=65536 + normalizer U^3 at N=65536: estimated")):
         assert run(tmp_path, *argv.split()) == code, argv
         assert capsys.readouterr().err.startswith(message), argv
     assert not list(tmp_path.iterdir())
@@ -721,6 +727,20 @@ def test_ineq_rhs_once_per_weight(tmp_path, monkeypatch):
     assert run(tmp_path, "ineq", "--name", "all", "--N", "64", "--trials", "3") == 0
     averages._normalized.cache_clear()
     assert sorted(calls) == [(64, 2), (64, 3)]
+
+
+def test_ineq_draws_no_g_family_array(tmp_path, monkeypatch):
+    # the rtt g-family is read from the seeded stream a batch at a time, so no
+    # (2N, N) array is drawn, whichever inequalities run
+    draw = averages.bounded_random
+
+    def one_dimensional(rng, shape):
+        if np.size(shape) > 1:
+            raise AssertionError(f"a {shape} array was drawn")
+        return draw(rng, shape)
+
+    monkeypatch.setattr(averages, "bounded_random", one_dimensional)
+    assert run(tmp_path, "ineq", "--name", "all", "--N", "64", "--trials", "2") == 0
 
 
 def test_ineq_rows_independent_of_names(tmp_path):

@@ -87,6 +87,38 @@ def cpus(monkeypatch):
     return allow
 
 
+def _u3_exact(f: np.ndarray) -> int:
+    """Raw U^3 of an integer series in exact int64, O(L^3): over h >= 0, doubled for
+    h > 0, U^2raw(Delta_h f) = sum_k A(k)^2 with A the autocorrelation of Delta_h f."""
+    L, total = len(f), 0
+    for h in range(L):
+        g = f[: L - h] * f[h:]
+        a = np.correlate(g, g, "full")
+        total += (2 if h else 1) * int(np.dot(a, a))
+    return total
+
+
+def test_exact_u3_oracle_matches_brute():
+    rng = np.random.default_rng(31)
+    for L in (1, 2, 3, 7, 16, 33, 64, 65):
+        for f in (rng.integers(-3, 4, L), rng.choice(np.array([-1, 1], dtype=np.int64), L)):
+            assert _u3_exact(f) == pytest.approx(
+                gowers.gowers_raw_bruteforce(Series(f), 3), rel=1e-12), L
+
+
+def test_u3_fast_exact_at_long_lengths(cpus):
+    # from L = 1024 the kernel runs many FFT-length buckets, and from L = 2048
+    # it threads; on +-1 signs every bucket, padding and share must land the
+    # exact integer.  Two workers run first, so no earlier run of the same
+    # input has left its rows in memory a share could fail to overwrite
+    cpus(2)
+    rng = np.random.default_rng(32)
+    for L in (1024, 2047, 2048, 2049):
+        f = rng.choice(np.array([-1, 1], dtype=np.int64), L)
+        exact = _u3_exact(f)
+        assert [gowers.gowers_u3_fast(Series(f), workers=w) for w in (2, 1)] == [exact] * 2, L
+
+
 def test_u3_worker_determinism(monkeypatch, cpus):
     # thread every length, on as many workers as asked for
     monkeypatch.setattr(gowers, "_U3_THREADED_LEN", 1)
